@@ -15,7 +15,6 @@ from .errors import (
 from .flow_data import (
     Dataset,
     FeatureSchema,
-    FlowRecord,
     SplitIndices,
     SyntheticClassSpec,
     default_class_specs,
@@ -38,7 +37,6 @@ __all__ = [
     "DivergenceError",
     "FeatureSchema",
     "FingerprintMismatchError",
-    "FlowRecord",
     "FlowcodecError",
     "ModelFormatError",
     "PreprocessorState",

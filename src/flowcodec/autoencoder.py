@@ -12,16 +12,13 @@ from __future__ import annotations
 
 import csv
 import json
-import os
-import struct
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._fsutil import fchmod_default
+from ._fsutil import atomic_write, field, frame, read_frame
 from .errors import DataError, DivergenceError, ModelFormatError
 from .neural import (
     DenseLayer,
@@ -103,7 +100,7 @@ class TrainingHistory:
         return min(e.test_loss for e in self.epochs)
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "train_loss", "test_loss", "learning_rate", "seconds"])
             for e in self.epochs:
@@ -284,46 +281,23 @@ def save_model(model: AutoencoderModel, path: str | Path) -> None:
         "preprocessor_fingerprint": model.preprocessor_fingerprint,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    fchmod_default(fd)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(MODEL_MAGIC)
-            fh.write(struct.pack("<II", MODEL_FORMAT_VERSION, len(header_bytes)))
-            fh.write(header_bytes)
-            for layer in model.encoder_layers + model.decoder_layers:
-                fh.write(np.ascontiguousarray(layer.W, dtype="<f8").tobytes())
-                fh.write(np.ascontiguousarray(layer.b, dtype="<f8").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_write(path, "wb") as fh:
+        fh.write(frame(MODEL_MAGIC, MODEL_FORMAT_VERSION, header_bytes))
+        for layer in model.encoder_layers + model.decoder_layers:
+            fh.write(np.ascontiguousarray(layer.W, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(layer.b, dtype="<f8").tobytes())
 
 
 def load_model(path: str | Path) -> AutoencoderModel:
     """Read a model container back; weights round-trip bit-exactly."""
-    path = Path(path)
-    blob = path.read_bytes()
-    if len(blob) < 12 or blob[:4] != MODEL_MAGIC:
-        raise ModelFormatError(f"{path}: not an autoencoder model file")
-    version, header_len = struct.unpack("<II", blob[4:12])
-    if version != MODEL_FORMAT_VERSION:
-        raise ModelFormatError(f"{path}: unsupported model format version {version}")
-    if len(blob) < 12 + header_len:
-        raise ModelFormatError(f"{path}: truncated header")
-    try:
-        header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
-        dims = [int(d) for d in header["dims"]]
-        n_encoder = int(header["n_encoder_layers"])
-        slope = float(header["slope"])
-        feature_names = tuple(header["feature_names"])
-        fingerprint = str(header["preprocessor_fingerprint"])
-    except (json.JSONDecodeError, KeyError, UnicodeDecodeError, ValueError, TypeError) as e:
-        raise ModelFormatError(f"{path}: corrupt model header: {e}") from e
+    header, blob, payload_start = read_frame(path, "autoencoder model", MODEL_MAGIC, MODEL_FORMAT_VERSION)
+    dims = field(header, "dims", list[int], path)
+    n_encoder = field(header, "n_encoder_layers", int, path)
+    slope = float(field(header, "slope", float, path))
+    feature_names = tuple(field(header, "feature_names", list[str], path))
+    fingerprint = field(header, "preprocessor_fingerprint", str, path)
 
-    if len(dims) < 3 or not 0 < n_encoder < len(dims):
+    if len(dims) < 3 or not 0 < n_encoder < len(dims) or min(dims) < 1:
         raise ModelFormatError(f"{path}: implausible architecture dims {dims}")
     if dims[0] != dims[-1] or dims[0] != len(feature_names):
         raise ModelFormatError(
@@ -331,7 +305,7 @@ def load_model(path: str | Path) -> AutoencoderModel:
         )
 
     expected = sum((dims[i] * dims[i + 1]) + dims[i + 1] for i in range(len(dims) - 1)) * 8
-    payload = blob[12 + header_len :]
+    payload = blob[payload_start:]
     if len(payload) != expected:
         raise ModelFormatError(
             f"{path}: weight payload is {len(payload)} bytes, expected {expected} (truncated or padded)"

@@ -9,13 +9,13 @@ JSON, and zero-support classes are left out of the macro averages.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from ._fsutil import atomic_write, write_json
 from .errors import DataError
 
 
@@ -102,13 +102,11 @@ class ClassificationReport:
         }
 
     def save_json(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_json(path, self.to_json_dict(), indent=2, sort_keys=True)
 
     def save_confusion_csv(self, path: str | Path, normalized: bool = False) -> None:
         matrix = self.confusion_normalized() if normalized else self.confusion
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(["true\\predicted", *self.class_names])
             for i, name in enumerate(self.class_names):
@@ -242,9 +240,7 @@ class ComparisonReport:
         }
 
     def save_json(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_json(path, self.to_json_dict(), indent=2, sort_keys=True)
 
     def text_table(self, top: int = 5) -> str:
         label = 24

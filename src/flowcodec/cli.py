@@ -9,16 +9,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-import tempfile
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
 from . import autoencoder, classify_eval, eval_metrics, preprocess
-from ._fsutil import fchmod_default
+from ._fsutil import atomic_write, conforms, write_json
 from .errors import (
     ConfigError,
     DataError,
@@ -69,7 +68,6 @@ class ForestSettings:
 class MetricsSettings:
     kl_bins: int = 50
     original_width_bytes: int = 8
-    latent_width_bytes: int = 4
 
 
 @dataclass
@@ -108,12 +106,28 @@ class PipelineConfig:
         if self.latent_dim < 1 or any(h < 1 for h in self.hidden):
             raise ConfigError("layer widths must be positive")
 
+    @property
+    def latent_width_bytes(self) -> int:
+        """Bytes per stored latent value, as latent_dtype sets them."""
+        return np.dtype(self.latent_dtype).itemsize
 
-def _build_block(cls, block: dict, where: str):
-    known = {f.name for f in fields(cls)}
-    unknown = set(block) - known
+
+def _check_block(cls, block, where: str) -> None:
+    """Reject a non-object block, a key ``cls`` lacks, or a mistyped value."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must hold a JSON object")
+    hints = get_type_hints(cls)
+    unknown = set(block) - set(hints)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+    for key, value in block.items():  # a nested block is an object; schema may be a path
+        hint = dict if is_dataclass(hints[key]) else hints[key]
+        if key != "schema" and not conforms(value, hint):
+            raise ConfigError(f"{where}: {key!r} has the wrong type: {value!r}")
+
+
+def _build_block(cls, block: dict, where: str):
+    _check_block(cls, block, where)
     try:
         return cls(**block)
     except (DataError, TypeError, ValueError) as exc:
@@ -134,13 +148,7 @@ def load_config(path: str | None, seed_override: int | None = None) -> PipelineC
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError(f"config {path} must hold a JSON object")
-
-    known = {f.name for f in fields(PipelineConfig)}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    _check_block(PipelineConfig, doc, f"config {path}")
 
     seed = doc.get("seed", 42)
     if seed_override is not None:
@@ -189,23 +197,6 @@ def load_config(path: str | None, seed_override: int | None = None) -> PipelineC
         synth=_build_block(SynthSettings, dict(doc.get("synth", {})), "synth"),
     )
     return cfg
-
-
-def _atomic_write_text(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
-    fchmod_default(fd)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _write_json(path: Path, doc: dict) -> None:
-    _atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _out_dir(args) -> Path:
@@ -291,22 +282,20 @@ def cmd_train(args) -> int:
     model_path = out / "autoencoder.fcae"
     state_path = out / "preprocessor.json"
     autoencoder.save_model(model, model_path)
-    _atomic_write_text(state_path, json.dumps(state.to_json_dict(), indent=2) + "\n")
+    state.save(state_path)
     history.to_csv(out / "training_history.csv")
-    _write_json(
-        out / "train_summary.json",
-        {
-            "architecture": model.dims,
-            "epochs_run": len(history.epochs),
-            "best_epoch": history.best_epoch,
-            "best_test_loss": history.best_test_loss,
-            "final_learning_rate": history.epochs[-1].learning_rate,
-            "train_rows": int(train_rows.size),
-            "test_rows": int(test_rows.size),
-            "preprocessor_fingerprint": state.fingerprint(),
-            "seed": cfg.seed,
-        },
-    )
+    summary = {
+        "architecture": model.dims,
+        "epochs_run": len(history.epochs),
+        "best_epoch": history.best_epoch,
+        "best_test_loss": history.best_test_loss,
+        "final_learning_rate": history.epochs[-1].learning_rate,
+        "train_rows": int(train_rows.size),
+        "test_rows": int(test_rows.size),
+        "preprocessor_fingerprint": state.fingerprint(),
+        "seed": cfg.seed,
+    }
+    write_json(out / "train_summary.json", summary, indent=2, sort_keys=True)
     print(f"trained {len(history.epochs)} epochs; best test loss "
           f"{history.best_test_loss:.6g} at epoch {history.best_epoch}")
     print(f"model: {model_path}")
@@ -333,9 +322,8 @@ def cmd_compress(args) -> int:
         dtype=cfg.latent_dtype,
         forced=forced,
     )
-    width = 4 if cfg.latent_dtype == "float32" else 8
     ratio = eval_metrics.compression_ratio(
-        model.n_features, model.latent_dim, cfg.metrics.original_width_bytes, width
+        model.n_features, model.latent_dim, cfg.metrics.original_width_bytes, cfg.latent_width_bytes
     )
     print(f"compressed {len(ds)} flows to {args.output} "
           f"({model.n_features} -> {model.latent_dim} dims, feature ratio {ratio:g}x)")
@@ -402,14 +390,11 @@ def cmd_evaluate(args) -> int:
         latent_dim=latent_dim,
         kl_bins=cfg.metrics.kl_bins,
         original_width_bytes=cfg.metrics.original_width_bytes,
-        latent_width_bytes=cfg.metrics.latent_width_bytes,
+        latent_width_bytes=cfg.latent_width_bytes,
         warnings=warnings,
     )
     out = _out_dir(args)
-    _atomic_write_text(
-        out / "reconstruction_report.json",
-        json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n",
-    )
+    report.save_json(out / "reconstruction_report.json")
     report.save_feature_csv(out / "feature_reconstruction.csv")
     report.save_correlation_csv(out / "correlation_difference.csv")
     eval_metrics.save_row_percent_errors(original.features, recon, out / "row_percent_errors.csv")
@@ -448,13 +433,11 @@ def _run_arm(
 
 
 def _write_arm_outputs(out: Path, arm: str, report, forest, cfg: PipelineConfig) -> None:
-    _atomic_write_text(
-        out / f"classification_report_{arm}.json",
-        json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n",
-    )
+    report.save_json(out / f"classification_report_{arm}.json")
     report.save_confusion_csv(out / f"confusion_{arm}.csv")
     report.save_confusion_csv(out / f"confusion_{arm}_normalized.csv", normalized=True)
-    _atomic_write_text(out / f"classification_{arm}.txt", report.text_table())
+    with atomic_write(out / f"classification_{arm}.txt") as fh:
+        fh.write(report.text_table())
     if cfg.forest.save_model:
         save_forest(forest, out / f"forest_{arm}.json")
 
@@ -513,11 +496,9 @@ def cmd_compare(args) -> int:
     out = _out_dir(args)
     _write_arm_outputs(out, "original", original_report, original_forest, cfg)
     _write_arm_outputs(out, "compressed", compressed_report, compressed_forest, cfg)
-    _atomic_write_text(
-        out / "comparison_report.json",
-        json.dumps(comparison.to_json_dict(), indent=2, sort_keys=True) + "\n",
-    )
-    _atomic_write_text(out / "comparison.txt", comparison.text_table())
+    comparison.save_json(out / "comparison_report.json")
+    with atomic_write(out / "comparison.txt") as fh:
+        fh.write(comparison.text_table())
 
     print(comparison.text_table())
     print(f"reports in {out}")

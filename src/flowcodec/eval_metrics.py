@@ -8,13 +8,13 @@ inverse preprocessing, so magnitudes are interpretable.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from ._fsutil import atomic_write, write_json
 from .errors import DataError
 
 DEFAULT_KL_BINS = 50
@@ -192,12 +192,10 @@ class ReconstructionReport:
         }
 
     def save_json(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        write_json(path, self.to_json_dict(), indent=2, sort_keys=True)
 
     def save_feature_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(["feature", "median_percent_error", "excluded_zero_rows", "kl_divergence"])
             for i, name in enumerate(self.feature_names):
@@ -212,7 +210,7 @@ class ReconstructionReport:
                 )
 
     def save_correlation_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             writer = csv.writer(fh)
             writer.writerow(["feature", *self.feature_names])
             for i, name in enumerate(self.feature_names):
@@ -279,7 +277,7 @@ def save_row_percent_errors(
     yhat = np.asarray(reconstructed, dtype=np.float64)
     if y.shape != yhat.shape:
         raise DataError(f"shape mismatch: {y.shape} vs {yhat.shape}")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["row", "mean_abs_percent_error", "excluded_zero_features"])
         for i in range(y.shape[0]):

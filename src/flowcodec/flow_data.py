@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._fsutil import atomic_write
 from .errors import ConfigError, DataError, EmptyDatasetError, RowParseError, SchemaError
 
 N_FEATURES = 21
@@ -96,15 +97,6 @@ class FeatureSchema:
             raise SchemaError(f"malformed schema mapping: {e}") from e
 
 
-@dataclass
-class FlowRecord:
-    """A single flow: opaque identity strings, 21 features, optional label."""
-
-    identity: dict[str, str]
-    features: np.ndarray
-    label: str | None = None
-
-
 class Dataset:
     """Immutable set of flow records with a dense feature-matrix view."""
 
@@ -141,10 +133,6 @@ class Dataset:
     @property
     def is_labeled(self) -> bool:
         return self.labels is not None
-
-    def record(self, i: int) -> FlowRecord:
-        label = self.labels[i] if self.labels is not None else None
-        return FlowRecord(identity=self.identities[i], features=self.features[i].copy(), label=label)
 
 
 @dataclass(frozen=True)
@@ -217,8 +205,7 @@ def _format_number(v: float) -> str:
 def write_csv(dataset: Dataset, path: str | Path) -> None:
     """Write a Dataset back out in schema column order."""
     schema = dataset.schema
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(schema.all_columns)
         for i in range(len(dataset)):

@@ -7,16 +7,14 @@ vectorized traversal both rely on.
 
 from __future__ import annotations
 
-import json
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .._fsutil import fchmod_default
+from .._fsutil import field as json_field
+from .._fsutil import read_json, write_json
 from ..errors import DataError, ModelFormatError
 from . import splitter
 
@@ -89,10 +87,6 @@ class DecisionTree:
     @property
     def n_nodes(self) -> int:
         return int(self.feature.shape[0])
-
-    @property
-    def n_leaves(self) -> int:
-        return int(np.count_nonzero(self.feature < 0))
 
     @property
     def depth(self) -> int:
@@ -302,59 +296,53 @@ def save_forest(model: ForestModel, path: str | Path) -> None:
         "params": model.params.to_dict(),
         "trees": trees,
     }
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
-    fchmod_default(fd)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_json(path, doc, sort_keys=True)
 
 
 def load_forest(path: str | Path) -> ForestModel:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ModelFormatError(f"cannot read forest file {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format_version") != FOREST_FORMAT_VERSION:
+    """Read a forest back, checking the preorder layout predict relies on:
+    every child id lies in (node, n_nodes) and every split feature in
+    [0, n_features)."""
+    doc = read_json(path, "forest file")
+    if doc.get("format_version") != FOREST_FORMAT_VERSION:
         raise ModelFormatError(f"unsupported forest file version in {path}")
-
-    n_classes = int(doc["n_classes"])
+    n_features = json_field(doc, "n_features", int, path)
+    n_classes = json_field(doc, "n_classes", int, path)
+    seed = json_field(doc, "seed", int, path)
+    if n_features < 1 or n_classes < 1:
+        raise ModelFormatError(f"{path}: implausible forest shape ({n_features}, {n_classes})")
+    try:
+        params = TreeParams.from_dict(json_field(doc, "params", dict, path))
+    except (DataError, TypeError) as exc:
+        raise ModelFormatError(f"{path}: bad tree params: {exc}") from exc
     trees = []
-    for t in doc["trees"]:
-        feature = np.asarray(t["feature"], dtype=np.int64)
+    for i, t in enumerate(json_field(doc, "trees", list[dict], path)):
+        where = f"{path}: tree {i}"
+        feature, left, right = (json_field(t, k, np.int64, where) for k in ("feature", "left", "right"))
+        threshold = json_field(t, "threshold", np.float64, where)
         n_nodes = feature.shape[0]
+        if n_nodes == 0 or not left.shape == right.shape == threshold.shape == feature.shape:
+            raise ModelFormatError(f"{where}: node arrays are empty or disagree in length")
+        internal = feature >= 0
+        parent = np.arange(n_nodes)[internal]
+        for child in (left[internal], right[internal]):
+            if (child <= parent).any() or (child >= n_nodes).any():
+                raise ModelFormatError(f"{where}: child ids break the preorder layout")
+        if (feature >= n_features).any() or (feature < -1).any():
+            raise ModelFormatError(f"{where}: split feature outside [0, {n_features})")
         counts = np.zeros((n_nodes, n_classes), dtype=np.int64)
-        leaf_ids = np.nonzero(feature < 0)[0]
-        leaf_rows = np.asarray(t["leaf_counts"], dtype=np.int64)
-        if leaf_rows.shape != (leaf_ids.shape[0], n_classes):
+        leaf_rows = json_field(t, "leaf_counts", np.int64, where, ndim=2)
+        if leaf_rows.shape != (n_nodes - int(internal.sum()), n_classes):
             raise ModelFormatError(f"leaf count block malformed in {path}")
-        counts[leaf_ids] = leaf_rows
-        left = np.asarray(t["left"], dtype=np.int64)
-        right = np.asarray(t["right"], dtype=np.int64)
+        counts[~internal] = leaf_rows
         # Children have higher preorder ids, so one reverse sweep fills
         # internal counts bottom-up.
         for node in range(n_nodes - 1, -1, -1):
-            if feature[node] >= 0:
+            if internal[node]:
                 counts[node] = counts[left[node]] + counts[right[node]]
         trees.append(
-            DecisionTree(
-                feature=feature,
-                threshold=np.asarray(t["threshold"], dtype=np.float64),
-                left=left,
-                right=right,
-                class_counts=counts,
-            )
+            DecisionTree(feature=feature, threshold=threshold, left=left, right=right, class_counts=counts)
         )
     return ForestModel(
-        trees=trees,
-        n_features=int(doc["n_features"]),
-        n_classes=n_classes,
-        params=TreeParams.from_dict(doc["params"]),
-        seed=int(doc["seed"]),
+        trees=trees, n_features=n_features, n_classes=n_classes, params=params, seed=seed
     )

@@ -11,15 +11,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import struct
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._fsutil import fchmod_default
+from ._fsutil import atomic_write, field, frame, read_frame
 from .errors import DataError, ModelFormatError
 
 LATENT_MAGIC = b"FCLZ"
@@ -96,46 +94,30 @@ def write_latent(
         writer.writerow(row)
     sidecar_bytes = sidecar.getvalue().encode("utf-8")
 
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
-    fchmod_default(fd)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(LATENT_MAGIC)
-            fh.write(struct.pack("<II", LATENT_FORMAT_VERSION, len(header_bytes)))
-            fh.write(header_bytes)
-            fh.write(block)
-            fh.write(struct.pack("<Q", len(sidecar_bytes)))
-            fh.write(sidecar_bytes)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with atomic_write(path, "wb") as fh:
+        fh.write(frame(LATENT_MAGIC, LATENT_FORMAT_VERSION, header_bytes))
+        fh.write(block)
+        fh.write(struct.pack("<Q", len(sidecar_bytes)))
+        fh.write(sidecar_bytes)
 
 
 def read_latent(path: str | Path) -> LatentFile:
-    try:
-        blob = Path(path).read_bytes()
-    except OSError as exc:
-        raise ModelFormatError(f"cannot read latent file {path}: {exc}") from exc
-    if len(blob) < 12 or blob[:4] != LATENT_MAGIC:
-        raise ModelFormatError(f"{path} is not a latent container")
-    version, header_len = struct.unpack_from("<II", blob, 4)
-    if version != LATENT_FORMAT_VERSION:
-        raise ModelFormatError(f"unsupported latent container version {version}")
-    try:
-        header = json.loads(blob[12 : 12 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ModelFormatError(f"{path}: malformed latent header: {exc}") from exc
-
-    dtype = header.get("dtype")
+    header, blob, block_start = read_frame(path, "latent container", LATENT_MAGIC, LATENT_FORMAT_VERSION)
+    dtype = field(header, "dtype", str, path)
     if dtype not in _DTYPES:
         raise ModelFormatError(f"{path}: unknown latent dtype {dtype!r}")
-    n_rows = int(header["n_rows"])
-    latent_dim = int(header["latent_dim"])
+    n_rows = field(header, "n_rows", int, path)
+    latent_dim = field(header, "latent_dim", int, path)
+    if n_rows < 0 or latent_dim < 1:
+        raise ModelFormatError(f"{path}: implausible latent shape ({n_rows}, {latent_dim})")
+    identity_columns = tuple(field(header, "identity_columns", list[str], path))
+    label_column = field(header, "label_column", str, path)
+    labeled = field(header, "labeled", bool, path)
+    feature_names = tuple(field(header, "feature_names", list[str], path))
+    fingerprint = field(header, "preprocessor_fingerprint", str, path)
+    forced = field(header, "forced", bool, path)
+
     itemsize = np.dtype(_DTYPES[dtype]).itemsize
-    block_start = 12 + header_len
     block_len = n_rows * latent_dim * itemsize
     if len(blob) < block_start + block_len + 8:
         raise ModelFormatError(f"{path}: latent block truncated")
@@ -147,40 +129,32 @@ def read_latent(path: str | Path) -> LatentFile:
     sidecar_start = block_start + block_len + 8
     if len(blob) != sidecar_start + sidecar_len:
         raise ModelFormatError(f"{path}: container length mismatch")
-    sidecar = blob[sidecar_start:].decode("utf-8")
-
-    identity_columns = tuple(header["identity_columns"])
-    label_column = str(header["label_column"])
-    labeled = bool(header.get("labeled"))
-    reader = csv.reader(io.StringIO(sidecar))
-    try:
-        columns = next(reader)
-    except StopIteration:
-        raise ModelFormatError(f"{path}: identity block is empty") from None
     expected = list(identity_columns) + ([label_column] if labeled else [])
-    if columns != expected:
-        raise ModelFormatError(f"{path}: identity block columns {columns} != header {expected}")
-
     identities: list[dict[str, str]] = []
     labels: list[str] | None = [] if labeled else None
-    for row in reader:
-        if len(row) != len(expected):
-            raise ModelFormatError(f"{path}: identity row width {len(row)} != {len(expected)}")
-        identities.append(dict(zip(identity_columns, row)))
-        if labels is not None:
-            labels.append(row[-1])
+    try:
+        reader = csv.reader(io.StringIO(blob[sidecar_start:].decode("utf-8")))
+        columns = next(reader, None)
+        if columns != expected:
+            raise ModelFormatError(f"{path}: identity block columns {columns} != header {expected}")
+        for row in reader:
+            if len(row) != len(expected):
+                raise ModelFormatError(f"{path}: identity row width {len(row)} != {len(expected)}")
+            identities.append(dict(zip(identity_columns, row)))
+            if labels is not None:
+                labels.append(row[-1])
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ModelFormatError(f"{path}: unreadable identity block: {exc}") from exc
     if len(identities) != n_rows:
-        raise ModelFormatError(
-            f"{path}: identity rows {len(identities)} != latent rows {n_rows}"
-        )
+        raise ModelFormatError(f"{path}: identity rows {len(identities)} != latent rows {n_rows}")
 
     return LatentFile(
         latent=latent,
         identities=identities,
         labels=labels,
-        feature_names=tuple(header["feature_names"]),
+        feature_names=feature_names,
         identity_columns=identity_columns,
         label_column=label_column,
-        preprocessor_fingerprint=str(header["preprocessor_fingerprint"]),
-        forced=bool(header.get("forced")),
+        preprocessor_fingerprint=fingerprint,
+        forced=forced,
     )

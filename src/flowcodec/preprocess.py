@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._fsutil import field, read_json, write_json
 from .errors import DataError, ModelFormatError
 
 CLIP_QUANTILE = 0.999
@@ -52,28 +53,23 @@ class PreprocessorState:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n", encoding="utf-8")
+        write_json(path, self.to_json_dict(), indent=2)
 
     @classmethod
     def load(cls, path: str | Path) -> "PreprocessorState":
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, OSError) as e:
-            raise ModelFormatError(f"{path}: cannot read preprocessor state: {e}") from e
+        doc = read_json(path, "preprocessor state")
         if doc.get("version") != STATE_FORMAT_VERSION:
             raise ModelFormatError(
                 f"{path}: unsupported preprocessor version {doc.get('version')!r}"
             )
-        try:
-            return cls(
-                feature_names=tuple(doc["feature_names"]),
-                p99_9=np.array(doc["p99_9"], dtype=np.float64),
-                median=np.array(doc["median"], dtype=np.float64),
-                iqr=np.array(doc["iqr"], dtype=np.float64),
-                fitted_on=int(doc["fitted_on"]),
-            )
-        except KeyError as e:
-            raise ModelFormatError(f"{path}: preprocessor state missing field {e}") from e
+        names = tuple(field(doc, "feature_names", list[str], path))
+        p99_9, median, iqr = (field(doc, k, np.float64, path) for k in ("p99_9", "median", "iqr"))
+        if not all(a.shape == (len(names),) and np.isfinite(a).all() for a in (p99_9, median, iqr)):
+            raise ModelFormatError(f"{path}: preprocessor arrays must hold one finite value per feature")
+        if (iqr <= 0).any():
+            raise ModelFormatError(f"{path}: preprocessor IQR values must be positive")
+        fitted_on = field(doc, "fitted_on", int, path)
+        return cls(feature_names=names, p99_9=p99_9, median=median, iqr=iqr, fitted_on=fitted_on)
 
 
 def fit(matrix: np.ndarray, feature_names: tuple[str, ...] | None = None) -> PreprocessorState:

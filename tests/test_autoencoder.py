@@ -211,7 +211,7 @@ def test_save_is_deterministic(tmp_path):
     assert (tmp_path / "a.fcae").read_bytes() == (tmp_path / "b.fcae").read_bytes()
 
 
-def test_load_rejects_corrupt_files(tmp_path):
+def test_load_rejects_corrupt_files(tmp_path, reheader):
     xtr, xte = tiny_data(seed=12)
     model, _ = train(xtr, xte, tiny_config(max_epochs=2))
     path = tmp_path / "model.fcae"
@@ -229,3 +229,23 @@ def test_load_rejects_corrupt_files(tmp_path):
     (tmp_path / "padded.fcae").write_bytes(blob + b"\x00" * 8)
     with pytest.raises(ModelFormatError):
         load_model(tmp_path / "padded.fcae")
+
+    bad = tmp_path / "bad.fcae"
+    for mutate in (
+        lambda h: {k: v for k, v in h.items() if k != "dims"},
+        lambda h: {**h, "dims": "21,16,21"},
+        lambda h: {**h, "dims": [21, 0, 21]},
+        lambda h: {**h, "n_encoder_layers": 1.5},
+        lambda h: {**h, "slope": "0.2"},
+        lambda h: {**h, "feature_names": None},
+        lambda h: [h],
+    ):
+        bad.write_bytes(reheader(blob, mutate))
+        with pytest.raises(ModelFormatError):
+            load_model(bad)
+
+    (tmp_path / "version.fcae").write_bytes(blob[:4] + b"\x09\x00\x00\x00" + blob[8:])
+    with pytest.raises(ModelFormatError, match="version"):
+        load_model(tmp_path / "version.fcae")
+    with pytest.raises(ModelFormatError):
+        load_model(tmp_path / "missing.fcae")

@@ -46,7 +46,7 @@ def test_load_config_defaults():
     assert cfg.forest.n_trees == 100
     assert cfg.metrics.kl_bins == 50
     assert cfg.metrics.original_width_bytes == 8
-    assert cfg.metrics.latent_width_bytes == 4
+    assert cfg.latent_width_bytes == 4
     assert cfg.synth.n_per_class == 2000
 
 
@@ -87,6 +87,23 @@ def test_load_config_rejects_bad_input(tmp_path):
         load_config(str(p))
     with pytest.raises(ConfigError):
         load_config(str(tmp_path / "missing.json"))
+    # Mistyped fields are refused while the config loads, not mid-command.
+    for doc in (
+        {"test_fraction": "0.2"},
+        {"hidden": 5},
+        {"hidden": [16, "8"]},
+        {"latent_dim": "16"},
+        {"latent_dtype": 32},
+        {"forest": {"n_trees": "3"}},
+        {"forest": {"save_model": "yes"}},
+        {"forest": 5},
+        {"metrics": {"kl_bins": "x"}},
+        {"train": {"max_epochs": 2.5}},
+        {"synth": {"sigma": None}},
+    ):
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError):
+            load_config(str(p))
 
 
 def test_load_config_inline_schema(tmp_path):
@@ -319,6 +336,63 @@ def test_fingerprint_mismatch_and_force(tmp_path, fast_config, capsys):
                  "--output-dir", str(eval_dir), "--force"]) == 0
     report = json.loads((eval_dir / "reconstruction_report.json").read_text())
     assert any("mismatch" in w for w in report["warnings"])
+
+
+def test_latent_width_follows_latent_dtype(tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**FAST_CONFIG, "latent_dim": 16, "latent_dtype": "float64"}))
+    data, out = tmp_path / "flows.csv", tmp_path / "out"
+    assert main(["synth", "--config", str(cfg), "--output", str(data)]) == 0
+    assert main(["train", "--config", str(cfg), "--input", str(data), "--output-dir", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["compress", "--config", str(cfg), "--model", str(out / "autoencoder.fcae"),
+                 "--preprocessor", str(out / "preprocessor.json"), "--input", str(data),
+                 "--output", str(tmp_path / "flows.fclz")]) == 0
+    assert "feature ratio 1.3125x" in capsys.readouterr().out
+    assert main(["evaluate", "--config", str(cfg), "--original", str(data),
+                 "--model", str(out / "autoencoder.fcae"),
+                 "--preprocessor", str(out / "preprocessor.json"),
+                 "--output-dir", str(tmp_path / "eval")]) == 0
+    report = json.loads((tmp_path / "eval" / "reconstruction_report.json").read_text())
+    assert report["compression"]["ratio"] == 1.3125
+
+
+def test_corrupt_artifacts_exit_2_without_traceback(tmp_path, fast_config, capsys, reheader):
+    data, out = tmp_path / "flows.csv", tmp_path / "out"
+    main(["synth", "--config", fast_config, "--output", str(data)])
+    main(["train", "--config", fast_config, "--input", str(data), "--output-dir", str(out)])
+    model, preproc = str(out / "autoencoder.fcae"), out / "preprocessor.json"
+    latent = tmp_path / "flows.fclz"
+    assert main(["compress", "--config", fast_config, "--model", model,
+                 "--preprocessor", str(preproc), "--input", str(data),
+                 "--output", str(latent)]) == 0
+    raw = latent.read_bytes()
+    state = json.loads(preproc.read_text())
+    capsys.readouterr()
+
+    bad = tmp_path / "bad.fclz"
+    for mutate in (
+        lambda h: {k: v for k, v in h.items() if k != "n_rows"},
+        lambda h: {**h, "n_rows": -1},
+        lambda h: [h],
+    ):
+        bad.write_bytes(reheader(raw, mutate))
+        code = main(["decompress", "--model", model, "--preprocessor", str(preproc),
+                     "--input", str(bad), "--output", str(tmp_path / "recon.csv")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
+    bad_state = tmp_path / "bad_preprocessor.json"
+    nan_iqr = [float("nan")] + state["iqr"][1:]
+    for change in ({"iqr": "abc"}, {"iqr": nan_iqr}):
+        bad_state.write_text(json.dumps({**state, **change}))
+        code = main(["compress", "--config", fast_config, "--model", model,
+                     "--preprocessor", str(bad_state), "--input", str(data),
+                     "--output", str(tmp_path / "x.fclz")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "recon.csv").exists()
+    assert not (tmp_path / "x.fclz").exists()
 
 
 def test_compress_is_deterministic(tmp_path, fast_config):

@@ -366,3 +366,40 @@ def test_load_forest_rejects_corrupt_files(tmp_path):
     bad.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError, match="leaf count"):
         load_forest(bad)
+
+    good_doc = json.loads(good.read_text())
+    tree = good_doc["trees"][0]
+    root_left = tree["left"][0]
+    assert root_left > 0  # the root splits, so these mutations hit a live node
+
+    def mutated(change):
+        doc = json.loads(good.read_text())
+        change(doc, doc["trees"][0])
+        return doc
+
+    for doc in (
+        mutated(lambda d, t: d.pop("n_classes")),
+        mutated(lambda d, t: d.update(n_classes="2")),
+        mutated(lambda d, t: d.update(trees={})),
+        mutated(lambda d, t: d.update(params=[])),
+        mutated(lambda d, t: d.update(params={"max_depth": "deep"})),
+        mutated(lambda d, t: t.pop("threshold")),
+        mutated(lambda d, t: t.update(feature=[str(f) for f in t["feature"]])),
+        mutated(lambda d, t: t.update(right=t["right"][:-1])),
+        mutated(lambda d, t: t["left"].__setitem__(0, 10**6)),
+        mutated(lambda d, t: t["left"].__setitem__(0, -3)),
+        mutated(lambda d, t: t["left"].__setitem__(0, 0)),
+        mutated(lambda d, t: t["feature"].__setitem__(0, 3)),
+        mutated(lambda d, t: t["feature"].__setitem__(0, -2)),
+        mutated(lambda d, t: t.update(leaf_counts=[[1, 2], [3]])),
+        [good_doc],
+    ):
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError):
+            load_forest(bad)
+
+    # A node that lists itself as a child made predict loop forever; the
+    # loader must refuse it before predict ever runs.
+    bad.write_text(json.dumps(mutated(lambda d, t: t["right"].__setitem__(0, 0))))
+    with pytest.raises(ModelFormatError, match="preorder"):
+        load_forest(bad)

@@ -107,7 +107,7 @@ def test_write_validation(tmp_path):
     assert not target.exists()
 
 
-def test_read_rejects_corruption(tmp_path):
+def test_read_rejects_corruption(tmp_path, reheader):
     latent, identities, labels = sample_rows()
     path = tmp_path / "flows.fclz"
     write_sample(path, latent, identities, labels)
@@ -137,3 +137,24 @@ def test_read_rejects_corruption(tmp_path):
 
     with pytest.raises(ModelFormatError):
         read_latent(tmp_path / "does_not_exist.fclz")
+
+    def without(key):
+        return lambda h: {k: v for k, v in h.items() if k != key}
+
+    for mutate in (
+        without("n_rows"),
+        without("identity_columns"),
+        lambda h: {**h, "n_rows": -1},
+        lambda h: {**h, "latent_dim": 0},
+        lambda h: {**h, "n_rows": "7"},
+        lambda h: {**h, "feature_names": [1, 2]},
+        lambda h: {**h, "labeled": "yes"},
+        lambda h: [h],
+    ):
+        bad.write_bytes(reheader(raw, mutate))
+        with pytest.raises(ModelFormatError):
+            read_latent(bad)
+
+    bad.write_bytes(raw[:8] + struct.pack("<I", 10**6) + raw[12:])
+    with pytest.raises(ModelFormatError, match="truncated"):
+        read_latent(bad)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -125,3 +127,28 @@ def test_state_load_rejects_bad_files(tmp_path):
     p.write_text('{"version": 1, "feature_names": ["a"]}')
     with pytest.raises(ModelFormatError):
         PreprocessorState.load(p)
+
+    state = fit(np.random.default_rng(5).normal(size=(50, 2)), ("a", "b"))
+    state.save(p)
+    good = json.loads(p.read_text())
+    for change in (
+        {"iqr": "abc"},
+        {"iqr": [1.0, float("nan")]},
+        {"iqr": [1.0, 0.0]},
+        {"iqr": [1.0, -2.0]},
+        {"median": [0.0, float("inf")]},
+        {"p99_9": [1.0]},
+        {"p99_9": [[1.0, 2.0]]},
+        {"median": [True, False]},
+        {"feature_names": "ab"},
+        {"fitted_on": "50"},
+        {"fitted_on": None},
+    ):
+        p.write_text(json.dumps({**good, **change}))
+        with pytest.raises(ModelFormatError):
+            PreprocessorState.load(p)
+    p.write_text(json.dumps([good]))
+    with pytest.raises(ModelFormatError):
+        PreprocessorState.load(p)
+    with pytest.raises(ModelFormatError):
+        PreprocessorState.load(tmp_path / "missing.json")
