@@ -56,6 +56,11 @@ class ForestSettings:
     max_features: str | int = "sqrt"
     save_model: bool = False
 
+    def __post_init__(self) -> None:
+        if self.n_trees < 1:
+            raise ConfigError(f"forest.n_trees must be >= 1, got {self.n_trees}")
+        self.tree_params()  # TreeParams range-checks the growth limits
+
     def tree_params(self) -> TreeParams:
         return TreeParams(
             max_depth=self.max_depth,
@@ -68,6 +73,11 @@ class ForestSettings:
 class MetricsSettings:
     kl_bins: int = 50
     original_width_bytes: int = 8
+
+    def __post_init__(self) -> None:
+        for name in ("kl_bins", "original_width_bytes"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"metrics.{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -245,7 +255,7 @@ def cmd_synth(args) -> int:
     if cfg.synth.class_specs is not None:
         try:
             specs = [SyntheticClassSpec.from_dict(d) for d in cfg.synth.class_specs]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"bad synth.class_specs entry: {exc}") from exc
     else:
         specs = default_class_specs(cfg.synth.sigma)

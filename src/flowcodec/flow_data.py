@@ -381,6 +381,8 @@ def generate_synthetic(
         block = np.empty((n_per_class, N_FEATURES), dtype=np.float64)
         for j, c in enumerate(cols):
             mu, sg = spec.lognormal_params[c]
+            if not (math.isfinite(sg) and sg >= 0):
+                raise ConfigError(f"class {spec.name!r}: sigma of {c} must be finite and >= 0, got {sg}")
             block[:, j] = rng.lognormal(mu, sg, n_per_class)
 
         # Counts are integers; directional flows carry at least one packet.
@@ -399,13 +401,13 @@ def generate_synthetic(
                 sub = np.sort(block[:, [col_pos[nm] for nm in names]], axis=1)
                 for k, nm in enumerate(names):
                     block[:, col_pos[nm]] = sub[:, k]
+        if not np.isfinite(block).all():
+            raise ConfigError(f"class {spec.name!r}: its mu and sigma give values beyond float64")
         blocks.append(block)
         identities.extend(_synthetic_identities(schema, block, col_pos, n_per_class, rng))
         labels.extend([spec.name] * n_per_class)
 
-    features = np.vstack(blocks)
-    assert np.isfinite(features).all()
-    return Dataset(schema, features, identities, labels)
+    return Dataset(schema, np.vstack(blocks), identities, labels)
 
 
 def _synthetic_identities(

@@ -1,7 +1,6 @@
 """From-scratch random forest: bagged CART trees with Gini splits.
 
-The split search runs on a compiled scan when the extension built, with a
-numpy fallback otherwise; see `splitter.backend_name()` for which is active.
+Everything is numpy; the per-node split search is `splitter.scan_sorted`.
 """
 
 from .model import (
@@ -15,17 +14,15 @@ from .model import (
     predict_tree,
     save_forest,
 )
-from .splitter import available_backends, backend_name, get_kernel
+from .splitter import backend_name
 
 __all__ = [
     "DecisionTree",
     "ForestModel",
     "TreeParams",
-    "available_backends",
     "backend_name",
     "fit_forest",
     "fit_tree",
-    "get_kernel",
     "load_forest",
     "predict",
     "predict_tree",

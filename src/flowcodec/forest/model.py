@@ -104,7 +104,6 @@ def fit_tree(
     n_classes: int,
     params: TreeParams = TreeParams(),
     seed: int | np.random.SeedSequence = 0,
-    kernel=None,
 ) -> DecisionTree:
     """Grow one CART tree on (X, y) with Gini-equivalent score splits.
 
@@ -124,7 +123,7 @@ def fit_tree(
     if not np.all(np.isfinite(X)):
         raise DataError("X contains non-finite values")
 
-    scan = kernel if kernel is not None else splitter.scan_sorted
+    scan = splitter.scan_sorted
     n_features = X.shape[1]
     k = params.features_per_split(n_features)
     rng = np.random.default_rng(seed)
@@ -232,7 +231,6 @@ def fit_forest(
     n_trees: int = DEFAULT_N_TREES,
     params: TreeParams = TreeParams(),
     seed: int = 0,
-    kernel=None,
 ) -> ForestModel:
     """Bagging: each tree trains on n rows drawn with replacement.
 
@@ -254,7 +252,7 @@ def fit_forest(
     for i in range(n_trees):
         boot_seed, tree_seed = np.random.SeedSequence([seed, i]).spawn(2)
         rows = np.random.default_rng(boot_seed).integers(0, n, size=n)
-        trees.append(fit_tree(X[rows], y[rows], n_classes, params, tree_seed, kernel=kernel))
+        trees.append(fit_tree(X[rows], y[rows], n_classes, params, tree_seed))
     return ForestModel(
         trees=trees, n_features=X.shape[1], n_classes=n_classes, params=params, seed=seed
     )

@@ -1,53 +1,57 @@
-"""Split-kernel selection: compiled extension when available, numpy otherwise.
+"""The forest's split scan: one numpy pass per sorted feature column.
 
-Set FLOWCODEC_SPLIT_BACKEND=python or =cython before import to force one;
-forcing cython when the extension is missing raises at import time rather
-than silently falling back.
+Scores are sums of squared integer class counts divided by float64
+partition sizes, left term plus right term, and the first boundary that
+attains the maximum wins, so a tree is a pure function of its inputs and
+seed. `fit_tree` looks `scan_sorted` up on this module at call time, so a
+caller may wrap it (to count or time calls, say) without touching the tree
+code.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _split_py
-
-try:
-    from . import _split_cy
-except ImportError:
-    _split_cy = None
-
-_BACKENDS = {"python": _split_py.scan_sorted}
-if _split_cy is not None:
-    _BACKENDS["cython"] = _split_cy.scan_sorted
-
-_forced = os.environ.get("FLOWCODEC_SPLIT_BACKEND", "").strip().lower()
-if _forced:
-    if _forced not in _BACKENDS:
-        raise ImportError(
-            f"FLOWCODEC_SPLIT_BACKEND={_forced!r} is not available; "
-            f"built backends: {sorted(_BACKENDS)}"
-        )
-    _ACTIVE = _forced
-else:
-    _ACTIVE = "cython" if "cython" in _BACKENDS else "python"
-
-scan_sorted = _BACKENDS[_ACTIVE]
+import numpy as np
 
 
 def backend_name() -> str:
-    """Name of the kernel picked at import time."""
-    return _ACTIVE
+    """Name of the split kernel; recorded with benchmark results."""
+    return "python"
 
 
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
+def scan_sorted(
+    values: np.ndarray, labels: np.ndarray, n_classes: int
+) -> tuple[float, float, bool]:
+    """Best binary split of a column already sorted ascending.
 
+    values: float64[n] sorted ascending; labels: int64[n] aligned with values.
+    Candidate boundaries sit between consecutive distinct values; the split
+    score is sum_k(count_left_k^2)/n_left + sum_k(count_right_k^2)/n_right,
+    which ranks splits identically to weighted Gini impurity but needs no
+    subtraction. Returns (score, threshold, found); threshold is the midpoint
+    of the boundary pair, nudged down to the lower value if rounding lands it
+    on the upper one so `value <= threshold` always sends the lower side left.
+    """
+    n = values.shape[0]
+    if n < 2 or values[0] == values[n - 1]:
+        return 0.0, 0.0, False
 
-def get_kernel(name: str | None = None):
-    """Fetch a scan kernel by name; None means the active one."""
-    if name is None:
-        return scan_sorted
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise ValueError(f"unknown backend {name!r}; built: {sorted(_BACKENDS)}") from None
+    onehot = np.zeros((n, n_classes), dtype=np.int64)
+    onehot[np.arange(n), labels] = 1
+    left_counts = np.cumsum(onehot, axis=0)
+    total = left_counts[-1]
+    left_counts = left_counts[:-1]
+    right_counts = total[np.newaxis, :] - left_counts
+
+    n_left = np.arange(1, n, dtype=np.float64)
+    n_right = np.float64(n) - n_left
+    score = (
+        np.sum(left_counts * left_counts, axis=1) / n_left
+        + np.sum(right_counts * right_counts, axis=1) / n_right
+    )
+    score = np.where(values[1:] != values[:-1], score, -np.inf)
+
+    best = int(np.argmax(score))
+    threshold = 0.5 * (values[best] + values[best + 1])
+    if threshold >= values[best + 1]:
+        threshold = values[best]
+    return float(score[best]), float(threshold), True

@@ -100,6 +100,14 @@ def test_load_config_rejects_bad_input(tmp_path):
         {"metrics": {"kl_bins": "x"}},
         {"train": {"max_epochs": 2.5}},
         {"synth": {"sigma": None}},
+        # Out-of-range values are refused at load too, not after the data loads.
+        {"forest": {"n_trees": 0}},
+        {"forest": {"max_depth": 0}},
+        {"forest": {"min_samples_split": 1}},
+        {"forest": {"max_features": "log2"}},
+        {"forest": {"max_features": 0}},
+        {"metrics": {"kl_bins": 0}},
+        {"metrics": {"original_width_bytes": 0}},
     ):
         p.write_text(json.dumps(doc))
         with pytest.raises(ConfigError):
@@ -173,6 +181,23 @@ def test_synth_zero_rows_exits_1_before_writing(tmp_path, capsys):
     code = main(["synth", "--n-per-class", "0", "--output", str(out)])
     assert code == 1
     assert not out.exists()
+
+
+def test_synth_bad_spec_exits_1_without_traceback(tmp_path, capsys):
+    cfg, out = tmp_path / "c.json", tmp_path / "x.csv"
+    other = {"name": "b", "lognormal_params": {}}
+    for synth in (
+        {"sigma": -1},
+        {"sigma": float("nan")},
+        {"sigma": 1000},  # finite, but the draws overflow float64
+        {"class_specs": [{"name": "a", "lognormal_params": {"x": [1]}}, other]},
+        {"class_specs": [{"name": "a", "lognormal_params": [1]}, other]},
+    ):
+        cfg.write_text(json.dumps({"synth": synth}))
+        code = main(["synth", "--config", str(cfg), "--n-per-class", "5", "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_divergence_exits_3_and_leaves_no_model(tmp_path, capsys):

@@ -8,18 +8,15 @@ from flowcodec.forest import (
     DecisionTree,
     ForestModel,
     TreeParams,
-    available_backends,
     backend_name,
     fit_forest,
     fit_tree,
-    get_kernel,
     load_forest,
     predict,
     predict_tree,
     save_forest,
 )
-
-HAVE_CYTHON = "cython" in available_backends()
+from flowcodec.forest.splitter import scan_sorted
 
 
 def brute_force_scan(values, labels, n_classes):
@@ -58,66 +55,37 @@ def random_column(rng):
     return values, labels, k
 
 
-# ---------------------------------------------------------------- kernels
+# ---------------------------------------------------------------- scan
 
 
-@pytest.mark.parametrize("backend", ["python", "cython"])
-def test_scan_matches_brute_force_exactly(backend):
-    if backend == "cython" and not HAVE_CYTHON:
-        pytest.skip("compiled kernel not built")
-    kernel = get_kernel(backend)
+def test_scan_matches_brute_force_exactly():
+    assert backend_name() == "python"
     rng = np.random.default_rng(100)
     for _ in range(300):
         values, labels, k = random_column(rng)
         order = np.argsort(values, kind="stable")
-        got = kernel(values[order], labels[order], k)
+        got = scan_sorted(values[order], labels[order], k)
         want = brute_force_scan(values, labels, k)
-        assert got == want, f"{backend}: {got} != {want} on {values!r} {labels!r}"
+        assert got == want, f"{got} != {want} on {values!r} {labels!r}"
 
 
-@pytest.mark.parametrize("backend", ["python", "cython"])
-def test_scan_constant_column_finds_nothing(backend):
-    if backend == "cython" and not HAVE_CYTHON:
-        pytest.skip("compiled kernel not built")
-    kernel = get_kernel(backend)
+def test_scan_constant_column_finds_nothing():
     v = np.full(6, 2.5)
     y = np.array([0, 1, 0, 1, 0, 1], dtype=np.int64)
-    assert kernel(v, y, 2) == (0.0, 0.0, False)
-    assert kernel(np.array([1.0]), np.array([0], dtype=np.int64), 2) == (0.0, 0.0, False)
+    assert scan_sorted(v, y, 2) == (0.0, 0.0, False)
+    assert scan_sorted(np.array([1.0]), np.array([0], dtype=np.int64), 2) == (0.0, 0.0, False)
 
 
-@pytest.mark.parametrize("backend", ["python", "cython"])
-def test_scan_threshold_snaps_below_upper_neighbor(backend):
-    if backend == "cython" and not HAVE_CYTHON:
-        pytest.skip("compiled kernel not built")
-    kernel = get_kernel(backend)
+def test_scan_threshold_snaps_below_upper_neighbor():
     lo = 1.0
     hi = np.nextafter(1.0, 2.0)
     # The exact midpoint of adjacent doubles rounds to one of them; the
     # threshold must never equal the upper value or the split sends both
     # sides left.
-    score, thr, found = kernel(np.array([lo, hi]), np.array([0, 1], dtype=np.int64), 2)
+    score, thr, found = scan_sorted(np.array([lo, hi]), np.array([0, 1], dtype=np.int64), 2)
     assert found
     assert thr < hi
     assert lo <= thr
-
-
-@pytest.mark.skipif(not HAVE_CYTHON, reason="compiled kernel not built")
-def test_backends_bit_identical():
-    py = get_kernel("python")
-    cy = get_kernel("cython")
-    rng = np.random.default_rng(200)
-    for _ in range(500):
-        values, labels, k = random_column(rng)
-        order = np.argsort(values, kind="stable")
-        v, y = values[order], labels[order]
-        assert py(v, y, k) == cy(v, y, k)
-
-
-def test_get_kernel_unknown_name():
-    assert backend_name() in available_backends()
-    with pytest.raises(ValueError):
-        get_kernel("fortran")
 
 
 # ---------------------------------------------------------------- params
@@ -219,21 +187,6 @@ def test_predict_tree_matches_manual_walk():
             else:
                 node = tree.right[node]
         assert got[i] == np.argmax(tree.class_counts[node])
-
-
-@pytest.mark.skipif(not HAVE_CYTHON, reason="compiled kernel not built")
-def test_tree_identical_across_backends():
-    rng = np.random.default_rng(13)
-    for trial in range(10):
-        X = rng.normal(size=(150, 6))
-        y = rng.integers(0, 4, size=150).astype(np.int64)
-        a = fit_tree(X, y, n_classes=4, seed=trial, kernel=get_kernel("python"))
-        b = fit_tree(X, y, n_classes=4, seed=trial, kernel=get_kernel("cython"))
-        assert np.array_equal(a.feature, b.feature)
-        assert np.array_equal(a.threshold, b.threshold)
-        assert np.array_equal(a.left, b.left)
-        assert np.array_equal(a.right, b.right)
-        assert np.array_equal(a.class_counts, b.class_counts)
 
 
 def test_fit_tree_validation():
