@@ -236,11 +236,11 @@ def _load_model_and_state(model_path: str, preprocessor_path: str, force: bool):
     return model, state, forced
 
 
-def _check_columns(ds: Dataset, model: autoencoder.AutoencoderModel) -> None:
-    if tuple(ds.schema.compressible_columns) != model.feature_names:
+def _check_columns(schema: FeatureSchema, model: autoencoder.AutoencoderModel) -> None:
+    if schema.compressible_columns != model.feature_names:
         raise DataError(
-            "dataset columns do not match the model's training columns: "
-            f"{ds.schema.compressible_columns} vs {model.feature_names}"
+            "feature columns do not match the model's training columns: "
+            f"{schema.compressible_columns} vs {model.feature_names}"
         )
 
 
@@ -317,21 +317,10 @@ def cmd_compress(args) -> int:
     cfg = load_config(args.config, args.seed)
     model, state, forced = _load_model_and_state(args.model, args.preprocessor, args.force)
     ds = load_csv(args.input, cfg.schema)
-    _check_columns(ds, model)
+    _check_columns(ds.schema, model)
 
     latent = autoencoder.encode(model, preprocess.transform(ds.features, state))
-    write_latent(
-        args.output,
-        latent,
-        ds.identities,
-        ds.labels,
-        feature_names=model.feature_names,
-        identity_columns=cfg.schema.identity_columns,
-        label_column=cfg.schema.label_column or "",
-        preprocessor_fingerprint=state.fingerprint(),
-        dtype=cfg.latent_dtype,
-        forced=forced,
-    )
+    write_latent(args.output, latent, ds, state.fingerprint(), dtype=cfg.latent_dtype, forced=forced)
     ratio = eval_metrics.compression_ratio(
         model.n_features, model.latent_dim, cfg.metrics.original_width_bytes, cfg.latent_width_bytes
     )
@@ -353,19 +342,12 @@ def cmd_decompress(args) -> int:
         raise DataError(
             f"latent width {lf.latent_dim} does not match the model bottleneck {model.latent_dim}"
         )
-    if lf.feature_names != model.feature_names:
-        raise DataError("latent file and model disagree on feature columns")
+    _check_columns(lf.schema, model)
 
     recon = preprocess.inverse_transform(
         autoencoder.decode(model, np.asarray(lf.latent, dtype=np.float64)), state
     )
-    schema = FeatureSchema(
-        identity_columns=lf.identity_columns,
-        compressible_columns=lf.feature_names,
-        label_column=lf.label_column or None,
-    )
-    out_ds = Dataset(schema, recon, lf.identities, lf.labels)
-    write_csv(out_ds, args.output)
+    write_csv(Dataset(lf.schema, recon, lf.identities, lf.labels), args.output)
     print(f"reconstructed {lf.n_rows} flows to {args.output}")
     return EXIT_OK
 
@@ -385,7 +367,7 @@ def cmd_evaluate(args) -> int:
         latent_dim = cfg.latent_dim
     else:
         model, state, forced = _load_model_and_state(args.model, args.preprocessor, args.force)
-        _check_columns(original, model)
+        _check_columns(original.schema, model)
         if forced:
             warnings.append("preprocessor fingerprint mismatch overridden by --force")
         recon = preprocess.inverse_transform(
@@ -463,7 +445,7 @@ def cmd_classify(args) -> int:
 
     if args.features == "compressed":
         model, state, forced = _load_model_and_state(args.model, args.preprocessor, args.force)
-        _check_columns(ds, model)
+        _check_columns(ds.schema, model)
         features = _encode_features(ds, model, state)
     else:
         forced = False
@@ -491,7 +473,7 @@ def cmd_compare(args) -> int:
     split = _split(ds, cfg)
 
     model, state, forced = _load_model_and_state(args.model, args.preprocessor, args.force)
-    _check_columns(ds, model)
+    _check_columns(ds.schema, model)
 
     original_report, original_forest = _run_arm(ds, split, ds.features, cfg)
     compressed_report, compressed_forest = _run_arm(

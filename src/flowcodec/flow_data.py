@@ -4,6 +4,10 @@ A flow record is the unit of data everywhere else in the package: a set of
 opaque identity columns (addresses, ports, timestamps -- never transformed),
 exactly 21 numeric features that are eligible for lossy compression, and an
 optional class label used by the downstream classifier.
+
+`Dataset` is the one in-memory model of those records, stored by column.
+`FeatureSchema` decides which columns exist and in what order; the CSV reader
+and writer here and the `.fclz` container in `latent` take that order from it.
 """
 
 from __future__ import annotations
@@ -61,15 +65,10 @@ class FeatureSchema:
                 f"schema must name exactly {N_FEATURES} compressible columns, "
                 f"got {len(self.compressible_columns)}"
             )
-        if len(set(self.compressible_columns)) != N_FEATURES:
-            raise SchemaError("compressible columns contain duplicates")
-        overlap = set(self.compressible_columns) & set(self.identity_columns)
-        if overlap:
-            raise SchemaError(f"columns listed as both identity and compressible: {sorted(overlap)}")
-        if self.label_column is not None and (
-            self.label_column in self.compressible_columns or self.label_column in self.identity_columns
-        ):
-            raise SchemaError(f"label column {self.label_column!r} reused for another role")
+        repeated = sorted({c for c in self.all_columns if self.all_columns.count(c) > 1})
+        if repeated:
+            # Dataset keys its identity columns by name, so a name has one place.
+            raise SchemaError(f"column(s) named more than once in the schema: {repeated}")
 
     @property
     def all_columns(self) -> tuple[str, ...]:
@@ -98,22 +97,27 @@ class FeatureSchema:
 
 
 class Dataset:
-    """Immutable set of flow records with a dense feature-matrix view."""
+    """Immutable flow records by column: ``features`` is N x 21 float64 in
+    ``schema.compressible_columns`` order, ``identities`` maps each of
+    ``schema.identity_columns`` to its N verbatim strings,
+    and ``labels`` holds N strings or is None for an unlabeled set."""
 
     def __init__(
         self,
         schema: FeatureSchema,
         features: np.ndarray,
-        identities: list[dict[str, str]],
+        identities: dict[str, list[str]],
         labels: list[str] | None,
     ):
         features = np.asarray(features, dtype=np.float64)
         if features.ndim != 2 or features.shape[1] != N_FEATURES:
             raise DataError(f"feature matrix must be Nx{N_FEATURES}, got {features.shape}")
-        if len(identities) != features.shape[0]:
-            raise DataError("identity rows and feature rows disagree")
-        if labels is not None and len(labels) != features.shape[0]:
-            raise DataError("label count and feature rows disagree")
+        n = features.shape[0]
+        sizes = {c: len(v) for c, v in identities.items()}
+        if sizes != dict.fromkeys(schema.identity_columns, n):
+            raise DataError(f"identity cells per column {sizes} != schema {list(schema.identity_columns)} x {n} rows")
+        if labels is not None and (len(labels) != n or schema.label_column is None):
+            raise DataError("labels need a schema label column and one label per feature row")
         self.schema = schema
         self.features = features
         self.features.setflags(write=False)
@@ -155,38 +159,45 @@ def load_csv(path: str | Path, schema: FeatureSchema | None = None) -> Dataset:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyDatasetError(f"{path}: file is empty") from None
-        col_index = {name: i for i, name in enumerate(header)}
-        missing = [c for c in schema.all_columns if c not in col_index]
-        if missing:
-            raise SchemaError(f"{path}: missing column(s) {missing}")
-        feat_idx = [col_index[c] for c in schema.compressible_columns]
-        ident_idx = [(c, col_index[c]) for c in schema.identity_columns]
-        label_idx = col_index[schema.label_column] if schema.label_column is not None else None
+            header = next(reader, None)
+            if header is None:
+                raise EmptyDatasetError(f"{path}: file is empty")
+            col_index = {name: i for i, name in enumerate(header)}
+            missing = [c for c in schema.all_columns if c not in col_index]
+            if missing:
+                raise SchemaError(f"{path}: missing column(s) {missing}")
+            width = 1 + max(col_index[c] for c in schema.all_columns)
+            feat_idx = [col_index[c] for c in schema.compressible_columns]
+            identities: dict[str, list[str]] = {c: [] for c in schema.identity_columns}
+            ident_idx = [(identities[c], col_index[c]) for c in schema.identity_columns]
+            label_idx = col_index[schema.label_column] if schema.label_column is not None else None
 
-        feature_rows: list[list[float]] = []
-        identities: list[dict[str, str]] = []
-        labels: list[str] | None = [] if label_idx is not None else None
-        for row_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            values = []
-            for col, j in zip(schema.compressible_columns, feat_idx):
-                try:
-                    v = float(row[j])
-                except (ValueError, IndexError) as e:
-                    raise RowParseError(
-                        f"{path}: row {row_no}, column {col!r}: cannot parse {row[j] if j < len(row) else '<missing>'!r} as a number"
-                    ) from e
-                if not math.isfinite(v):
-                    raise RowParseError(f"{path}: row {row_no}, column {col!r}: non-finite value {row[j]!r}")
-                values.append(v)
-            feature_rows.append(values)
-            identities.append({c: row[j] for c, j in ident_idx})
-            if labels is not None:
-                labels.append(row[label_idx])
+            feature_rows: list[list[float]] = []
+            labels: list[str] | None = [] if label_idx is not None else None
+            for row_no, row in enumerate(reader, start=1):
+                if not row:
+                    continue
+                if len(row) < width:
+                    lacking = next(c for c in schema.all_columns if col_index[c] >= len(row))
+                    raise RowParseError(f"{path}: row {row_no}, column {lacking!r}: cell missing")
+                values = []
+                for col, j in zip(schema.compressible_columns, feat_idx):
+                    try:
+                        v = float(row[j])
+                    except ValueError as e:
+                        raise RowParseError(
+                            f"{path}: row {row_no}, column {col!r}: cannot parse {row[j]!r} as a number"
+                        ) from e
+                    if not math.isfinite(v):
+                        raise RowParseError(f"{path}: row {row_no}, column {col!r}: non-finite value {row[j]!r}")
+                    values.append(v)
+                feature_rows.append(values)
+                for cells, j in ident_idx:
+                    cells.append(row[j])
+                if labels is not None:
+                    labels.append(row[label_idx])
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(f"{path}: unreadable CSV after reading {reader.line_num} line(s): {exc}") from exc
 
     if not feature_rows:
         raise EmptyDatasetError(f"{path}: no data rows")
@@ -208,8 +219,9 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
     with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(schema.all_columns)
+        identities = [dataset.identities[c] for c in schema.identity_columns]
         for i in range(len(dataset)):
-            row = [dataset.identities[i][c] for c in schema.identity_columns]
+            row = [cells[i] for cells in identities]
             row += [_format_number(v) for v in dataset.features[i]]
             if schema.label_column is not None:
                 row.append(dataset.labels[i] if dataset.labels is not None else "")
@@ -372,7 +384,7 @@ def generate_synthetic(
 
     rng = np.random.default_rng(seed)
     blocks: list[np.ndarray] = []
-    identities: list[dict[str, str]] = []
+    identities: dict[str, list[str]] = {c: [] for c in schema.identity_columns}
     labels: list[str] = []
     for spec in class_specs:
         missing = [c for c in cols if c not in spec.lognormal_params]
@@ -404,10 +416,11 @@ def generate_synthetic(
         if not np.isfinite(block).all():
             raise ConfigError(f"class {spec.name!r}: its mu and sigma give values beyond float64")
         blocks.append(block)
-        identities.extend(_synthetic_identities(schema, block, col_pos, n_per_class, rng))
+        for c, cells in _synthetic_identities(schema, block, col_pos, n_per_class, rng).items():
+            identities[c].extend(cells)
         labels.extend([spec.name] * n_per_class)
 
-    return Dataset(schema, np.vstack(blocks), identities, labels)
+    return Dataset(schema, np.vstack(blocks), identities, labels if schema.label_column is not None else None)
 
 
 def _synthetic_identities(
@@ -416,7 +429,7 @@ def _synthetic_identities(
     col_pos: dict[str, int],
     n: int,
     rng: np.random.Generator,
-) -> list[dict[str, str]]:
+) -> dict[str, list[str]]:
     base_ms = 1_700_000_000_000
     first_seen = base_ms + rng.integers(0, 86_400_000, n)
     duration = (
@@ -434,9 +447,4 @@ def _synthetic_identities(
         "bidirectional_first_seen_ms": [str(int(t)) for t in first_seen],
         "bidirectional_last_seen_ms": [str(int(t + d)) for t, d in zip(first_seen, duration)],
     }
-    rows = []
-    for i in range(n):
-        rows.append(
-            {c: (generic[c][i] if c in generic else f"{c}_{i}") for c in schema.identity_columns}
-        )
-    return rows
+    return {c: generic[c] if c in generic else [f"{c}_{i}" for i in range(n)] for c in schema.identity_columns}

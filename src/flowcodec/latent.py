@@ -4,6 +4,10 @@ Layout: 4-byte magic, little-endian u32 format version and u32 header
 length, a JSON header, the row-major latent block, then a u64-length-prefixed
 UTF-8 CSV holding the identity columns and label verbatim. Identity data
 never goes through the autoencoder.
+
+The header names the schema's columns; the sidecar holds the `Dataset` layout,
+one CSV column per identity field, then the label if any, one line per latent
+row (an empty line when the schema has neither).
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from ._fsutil import atomic_write, field, frame, read_frame
-from .errors import DataError, ModelFormatError
+from .errors import DataError, ModelFormatError, SchemaError
+from .flow_data import Dataset, FeatureSchema
 
 LATENT_MAGIC = b"FCLZ"
 LATENT_FORMAT_VERSION = 1
@@ -27,12 +32,13 @@ _DTYPES = {"float32": np.float32, "float64": np.float64}
 
 @dataclass
 class LatentFile:
+    """A read container: the schema its header names, and ``identities`` and
+    ``labels`` in `Dataset` layout, one cell per latent row."""
+
     latent: np.ndarray
-    identities: list[dict[str, str]]
+    schema: FeatureSchema
+    identities: dict[str, list[str]]
     labels: list[str] | None
-    feature_names: tuple[str, ...]
-    identity_columns: tuple[str, ...]
-    label_column: str
     preprocessor_fingerprint: str
     forced: bool
 
@@ -48,35 +54,30 @@ class LatentFile:
 def write_latent(
     path: str | Path,
     latent: np.ndarray,
-    identities: list[dict[str, str]],
-    labels: list[str] | None,
-    feature_names: tuple[str, ...],
-    identity_columns: tuple[str, ...],
-    label_column: str,
+    dataset: Dataset,
     preprocessor_fingerprint: str,
     dtype: str = "float32",
     forced: bool = False,
 ) -> None:
-    """Serialize atomically. ``dtype`` controls the stored latent precision
-    and therefore the realized compression ratio."""
+    """Serialize ``latent`` and the pass-through columns of ``dataset``
+    atomically. ``dtype`` controls the stored latent precision and therefore
+    the realized compression ratio."""
     if dtype not in _DTYPES:
         raise DataError(f"latent dtype must be one of {sorted(_DTYPES)}, got {dtype!r}")
     latent = np.asarray(latent)
-    if latent.ndim != 2 or latent.shape[0] != len(identities):
-        raise DataError(
-            f"latent shape {latent.shape} does not match {len(identities)} identity rows"
-        )
-    if labels is not None and len(labels) != latent.shape[0]:
-        raise DataError("label count does not match latent rows")
+    if latent.ndim != 2 or latent.shape[0] != len(dataset):
+        raise DataError(f"latent shape {latent.shape} does not match {len(dataset)} dataset rows")
 
+    schema = dataset.schema
+    labeled = dataset.labels is not None
     header = {
         "n_rows": int(latent.shape[0]),
         "latent_dim": int(latent.shape[1]),
         "dtype": dtype,
-        "feature_names": list(feature_names),
-        "identity_columns": list(identity_columns),
-        "label_column": label_column,
-        "labeled": labels is not None,
+        "feature_names": list(schema.compressible_columns),
+        "identity_columns": list(schema.identity_columns),
+        "label_column": schema.label_column or "",
+        "labeled": labeled,
         "preprocessor_fingerprint": preprocessor_fingerprint,
         "forced": bool(forced),
     }
@@ -85,13 +86,12 @@ def write_latent(
 
     sidecar = io.StringIO()
     writer = csv.writer(sidecar, lineterminator="\n")
-    columns = list(identity_columns) + ([label_column] if labels is not None else [])
-    writer.writerow(columns)
-    for i, identity in enumerate(identities):
-        row = [identity.get(c, "") for c in identity_columns]
-        if labels is not None:
-            row.append(labels[i])
-        writer.writerow(row)
+    columns = [dataset.identities[c] for c in schema.identity_columns]
+    if labeled:
+        columns.append(dataset.labels)
+    writer.writerow(list(schema.identity_columns) + ([schema.label_column] if labeled else []))
+    for i in range(len(dataset)):
+        writer.writerow([cells[i] for cells in columns])
     sidecar_bytes = sidecar.getvalue().encode("utf-8")
 
     with atomic_write(path, "wb") as fh:
@@ -110,12 +110,18 @@ def read_latent(path: str | Path) -> LatentFile:
     latent_dim = field(header, "latent_dim", int, path)
     if n_rows < 0 or latent_dim < 1:
         raise ModelFormatError(f"{path}: implausible latent shape ({n_rows}, {latent_dim})")
-    identity_columns = tuple(field(header, "identity_columns", list[str], path))
+    identity_columns = field(header, "identity_columns", list[str], path)
     label_column = field(header, "label_column", str, path)
     labeled = field(header, "labeled", bool, path)
-    feature_names = tuple(field(header, "feature_names", list[str], path))
+    feature_names = field(header, "feature_names", list[str], path)
     fingerprint = field(header, "preprocessor_fingerprint", str, path)
     forced = field(header, "forced", bool, path)
+    if labeled and not label_column:
+        raise ModelFormatError(f"{path}: labeled container names no label column")
+    try:
+        schema = FeatureSchema(identity_columns, feature_names, label_column or None)
+    except SchemaError as exc:
+        raise ModelFormatError(f"{path}: header column names: {exc}") from exc
 
     itemsize = np.dtype(_DTYPES[dtype]).itemsize
     block_len = n_rows * latent_dim * itemsize
@@ -129,32 +135,27 @@ def read_latent(path: str | Path) -> LatentFile:
     sidecar_start = block_start + block_len + 8
     if len(blob) != sidecar_start + sidecar_len:
         raise ModelFormatError(f"{path}: container length mismatch")
-    expected = list(identity_columns) + ([label_column] if labeled else [])
-    identities: list[dict[str, str]] = []
-    labels: list[str] | None = [] if labeled else None
+    expected = list(schema.identity_columns) + ([label_column] if labeled else [])
     try:
-        reader = csv.reader(io.StringIO(blob[sidecar_start:].decode("utf-8")))
-        columns = next(reader, None)
-        if columns != expected:
-            raise ModelFormatError(f"{path}: identity block columns {columns} != header {expected}")
-        for row in reader:
-            if len(row) != len(expected):
-                raise ModelFormatError(f"{path}: identity row width {len(row)} != {len(expected)}")
-            identities.append(dict(zip(identity_columns, row)))
-            if labels is not None:
-                labels.append(row[-1])
+        rows = list(csv.reader(io.StringIO(blob[sidecar_start:].decode("utf-8"))))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ModelFormatError(f"{path}: unreadable identity block: {exc}") from exc
-    if len(identities) != n_rows:
-        raise ModelFormatError(f"{path}: identity rows {len(identities)} != latent rows {n_rows}")
+    columns = rows[0] if rows else None
+    if columns != expected:
+        raise ModelFormatError(f"{path}: identity block columns {columns} != header {expected}")
+    body = rows[1:]
+    for row in body:
+        if len(row) != len(expected):
+            raise ModelFormatError(f"{path}: identity row width {len(row)} != {len(expected)}")
+    if len(body) != n_rows:
+        raise ModelFormatError(f"{path}: identity rows {len(body)} != latent rows {n_rows}")
+    cells = [[row[k] for row in body] for k in range(len(expected))]
 
     return LatentFile(
         latent=latent,
-        identities=identities,
-        labels=labels,
-        feature_names=feature_names,
-        identity_columns=identity_columns,
-        label_column=label_column,
+        schema=schema,
+        identities=dict(zip(schema.identity_columns, cells)),
+        labels=cells[-1] if labeled else None,
         preprocessor_fingerprint=fingerprint,
         forced=forced,
     )

@@ -8,6 +8,7 @@ of (parameters, batch, step count, seed).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,13 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DataError(f"{name} must be finite, got {value}")
+        if self.seed < 0 or self.weight_decay < 0:
+            raise DataError("seed and weight_decay must be >= 0")
+        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
+            raise DataError("adam_beta1 and adam_beta2 must be in [0, 1)")
         if self.learning_rate <= 0 or self.min_lr <= 0:
             raise DataError("learning rates must be positive")
         if not 0.0 < self.plateau_factor < 1.0:
@@ -74,8 +82,8 @@ class TrainConfig:
         for name in ("batch_size", "max_epochs", "plateau_patience", "early_stop_patience"):
             if getattr(self, name) < 1:
                 raise DataError(f"{name} must be positive")
-        if self.huber_delta <= 0 or self.clip_max_norm <= 0:
-            raise DataError("huber_delta and clip_max_norm must be positive")
+        if min(self.huber_delta, self.clip_max_norm, self.adam_epsilon) <= 0:
+            raise DataError("huber_delta, clip_max_norm and adam_epsilon must be positive")
 
 
 def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:

@@ -108,6 +108,11 @@ def test_load_config_rejects_bad_input(tmp_path):
         {"forest": {"max_features": 0}},
         {"metrics": {"kl_bins": 0}},
         {"metrics": {"original_width_bytes": 0}},
+        {"train": {"seed": -1}},
+        {"train": {"learning_rate": float("nan")}},
+        {"train": {"adam_beta1": 1.5}},
+        {"train": {"adam_epsilon": 0}},
+        {"train": {"weight_decay": -1}},
     ):
         p.write_text(json.dumps(doc))
         with pytest.raises(ConfigError):
@@ -200,6 +205,22 @@ def test_synth_bad_spec_exits_1_without_traceback(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_malformed_csv_exits_2_without_traceback(tmp_path, capsys):
+    data, bad = tmp_path / "flows.csv", tmp_path / "bad.csv"
+    assert main(["synth", "--n-per-class", "3", "--output", str(data)]) == 0
+    lines = data.read_bytes().splitlines(keepends=True)
+    without_label = lines[2].rsplit(b",", 1)[0] + b"\r\n"
+    for row in (
+        without_label,
+        b"\xff" + lines[2],  # not UTF-8
+        b"x" * 200_000 + b"," + lines[2],  # over the csv module's field size limit
+    ):
+        bad.write_bytes(b"".join(lines[:2] + [row] + lines[3:]))
+        code = main(["classify", "--input", str(bad), "--output-dir", str(tmp_path / "cls")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
+
 def test_divergence_exits_3_and_leaves_no_model(tmp_path, capsys):
     data = tmp_path / "flows.csv"
     assert main(["synth", "--n-per-class", "40", "--seed", "1", "--output", str(data)]) == 0
@@ -245,9 +266,10 @@ def test_full_pipeline(tmp_path, fast_config, capsys):
     assert lf.latent.dtype == np.float32
     assert lf.forced is False
     # Identity columns ride along byte-for-byte.
+    assert list(lf.identities) == list(lf.schema.identity_columns)
     for i in (0, 150, 299):
-        for col in lf.identity_columns:
-            assert lf.identities[i][col] == rows[i][col]
+        for col in lf.schema.identity_columns:
+            assert lf.identities[col][i] == rows[i][col]
         assert lf.labels[i] == rows[i]["application_name"]
 
     recon = tmp_path / "recon.csv"
@@ -257,7 +279,7 @@ def test_full_pipeline(tmp_path, fast_config, capsys):
     assert len(recon_rows) == 300
     assert recon_rows[0].keys() == rows[0].keys()
     for i in (0, 299):
-        for col in lf.identity_columns:
+        for col in lf.schema.identity_columns:
             assert recon_rows[i][col] == rows[i][col]
         assert recon_rows[i]["application_name"] == rows[i]["application_name"]
 

@@ -36,6 +36,10 @@ def make_csv(path, schema, rows, header=None):
             writer.writerow([row.get(c, "0") for c in header])
 
 
+def blank_identities(schema, n):
+    return {c: [""] * n for c in schema.identity_columns}
+
+
 def full_row(schema, label="web", value=1.0):
     row = {c: f"ip_{c}" for c in schema.identity_columns}
     row.update({c: str(value) for c in schema.compressible_columns})
@@ -93,7 +97,8 @@ def test_load_csv_happy_path(tmp_path):
     assert ds.labels == ["web", "chat"]
     assert ds.class_names == ["chat", "web"]
     assert list(ds.label_ids) == [1, 0]
-    assert ds.identities[0]["src_ip"] == "ip_src_ip"
+    assert list(ds.identities) == list(schema.identity_columns)
+    assert ds.identities["src_ip"] == ["ip_src_ip", "ip_src_ip"]
 
 
 def test_load_csv_ignores_extra_columns_and_any_order(tmp_path):
@@ -123,6 +128,12 @@ def test_load_csv_unparseable_cell_reports_row_and_column(tmp_path):
     path = tmp_path / "flows.csv"
     make_csv(path, schema, [full_row(schema), bad])
     with pytest.raises(RowParseError, match="row 2.*src2dst_packets"):
+        load_csv(path, schema)
+    # A short row names the first schema column it lacks.
+    make_csv(path, schema, [full_row(schema)])
+    with open(path, "a", newline="") as fh:
+        fh.write("ip,ip,ip\n")
+    with pytest.raises(RowParseError, match="row 2, column 'dst_port'"):
         load_csv(path, schema)
 
 
@@ -171,6 +182,21 @@ def test_write_then_load_round_trips_floats_exactly(tmp_path):
     assert back.identities == ds2.identities
 
 
+def test_dataset_refuses_identity_columns_unlike_the_schema():
+    schema = FeatureSchema()
+    features = np.ones((3, N_FEATURES))
+    good = blank_identities(schema, 3)
+    Dataset(schema, features, good, None)
+    missing = {c: v for c, v in good.items() if c != "protocol"}
+    extra = {**good, "vlan": [""] * 3}
+    short = {**good, "protocol": [""] * 2}
+    for identities in (missing, extra, short):
+        with pytest.raises(DataError, match="identity cells per column"):
+            Dataset(schema, features, identities, None)
+    with pytest.raises(DataError, match="need a schema label column"):
+        Dataset(FeatureSchema(label_column=None), features, good, ["a"] * 3)
+
+
 def test_dataset_features_are_read_only():
     ds = generate_synthetic(5, default_class_specs(), seed=1)
     with pytest.raises(ValueError):
@@ -184,8 +210,7 @@ def test_stratified_split_example_counts():
     # Two classes sized 70 and 30 at test fraction 0.2 give 14 and 6 test rows.
     features = np.ones((100, N_FEATURES))
     labels = ["a"] * 70 + ["b"] * 30
-    identities = [{} for _ in range(100)]
-    ds = Dataset(FeatureSchema(), features, identities, labels)
+    ds = Dataset(FeatureSchema(), features, blank_identities(FeatureSchema(), 100), labels)
     split = stratified_split(ds, 0.2, seed=0)
     test_labels = [labels[i] for i in split.test]
     assert len(split.test) == 20
@@ -211,7 +236,7 @@ def test_stratified_split_per_class_counts_near_fraction():
         sizes = rng.integers(3, 60, size=4)
         labels = [f"c{k}" for k, s in enumerate(sizes) for _ in range(int(s))]
         n = len(labels)
-        ds = Dataset(FeatureSchema(), np.ones((n, N_FEATURES)), [{} for _ in range(n)], labels)
+        ds = Dataset(FeatureSchema(), np.ones((n, N_FEATURES)), blank_identities(FeatureSchema(), n), labels)
         frac = float(rng.uniform(0.1, 0.4))
         split = stratified_split(ds, frac, seed=trial)
         test_labels = [labels[i] for i in split.test]
@@ -224,10 +249,11 @@ def test_stratified_split_per_class_counts_near_fraction():
 
 
 def test_stratified_split_rejects_tiny_class_and_unlabeled():
-    ds = Dataset(FeatureSchema(), np.ones((3, N_FEATURES)), [{}] * 3, ["a", "a", "b"])
+    ds = Dataset(FeatureSchema(), np.ones((3, N_FEATURES)), blank_identities(FeatureSchema(), 3), ["a", "a", "b"])
     with pytest.raises(DataError, match="'b'"):
         stratified_split(ds, 0.2, seed=0)
-    unlabeled = Dataset(FeatureSchema(label_column=None), np.ones((3, N_FEATURES)), [{}] * 3, None)
+    schema = FeatureSchema(label_column=None)
+    unlabeled = Dataset(schema, np.ones((3, N_FEATURES)), blank_identities(schema, 3), None)
     with pytest.raises(DataError):
         stratified_split(unlabeled, 0.2, seed=0)
 
@@ -252,6 +278,9 @@ def test_generate_synthetic_shape_and_labels():
     assert np.isfinite(ds.features).all()
     for spec in specs:
         assert ds.labels.count(spec.name) == 50
+    # A schema without identity or label columns keeps neither.
+    bare = generate_synthetic(5, specs, seed=2, schema=FeatureSchema((), label_column=None))
+    assert bare.identities == {} and bare.labels is None and len(bare) == 5 * len(specs)
 
 
 def test_generate_synthetic_flow_constraints():

@@ -7,6 +7,7 @@ import pytest
 from flowcodec._fsutil import atomic_write, conforms, field, read_frame, read_json, write_json
 from flowcodec.autoencoder import encode, load_model, save_model, train
 from flowcodec.errors import FlowcodecError, ModelFormatError
+from flowcodec.flow_data import Dataset, FeatureSchema
 from flowcodec.forest import fit_forest, load_forest, predict, save_forest
 from flowcodec.latent import read_latent, write_latent
 from flowcodec.neural import TrainConfig
@@ -152,9 +153,9 @@ def _artifacts(tmp_path):
     save_model(model, paths["fcae"])
     state.save(paths["json"])
     save_forest(forest, paths["forest"])
-    ids = [{"ip": f"10.0.0.{i}"} for i in range(40)]
-    write_latent(paths["fclz"], encode(model, x), ids, ["a"] * 40, state.feature_names,
-                 ("ip",), "label", state.fingerprint())
+    schema = FeatureSchema(("ip",), state.feature_names, "label")
+    flows = Dataset(schema, x, {"ip": [f"10.0.0.{i}" for i in range(40)]}, ["a"] * 40)
+    write_latent(paths["fclz"], encode(model, x), flows, state.fingerprint())
 
     def use_forest(path):
         f = load_forest(path)

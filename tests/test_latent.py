@@ -4,50 +4,50 @@ import numpy as np
 import pytest
 
 from flowcodec.errors import DataError, ModelFormatError
+from flowcodec.flow_data import Dataset, FeatureSchema
 from flowcodec.latent import LATENT_MAGIC, read_latent, write_latent
 
 ID_COLS = ("src_ip", "dst_ip", "src_port", "dst_port", "protocol")
 FEATURES = tuple(f"f{j}" for j in range(21))
+SCHEMA = FeatureSchema(ID_COLS, FEATURES, "label")
 
 
 def sample_rows(n=7, dim=4):
     rng = np.random.default_rng(3)
     latent = rng.normal(size=(n, dim))
-    identities = [
-        {
-            "src_ip": f"10.0.0.{i}",
-            "dst_ip": f"192.168.1.{i}",
-            "src_port": str(1000 + i),
-            "dst_port": "443",
-            "protocol": "6",
-        }
-        for i in range(n)
-    ]
+    identities = {
+        "src_ip": [f"10.0.0.{i}" for i in range(n)],
+        "dst_ip": [f"192.168.1.{i}" for i in range(n)],
+        "src_port": [str(1000 + i) for i in range(n)],
+        "dst_port": ["443"] * n,
+        "protocol": ["6"] * n,
+    }
     labels = [("video" if i % 2 else "web") for i in range(n)]
     return latent, identities, labels
 
 
-def write_sample(path, latent, identities, labels, **kwargs):
-    kwargs.setdefault("feature_names", FEATURES)
-    kwargs.setdefault("identity_columns", ID_COLS)
-    kwargs.setdefault("label_column", "label" if labels is not None else "")
+def write_sample(path, latent, dataset, **kwargs):
     kwargs.setdefault("preprocessor_fingerprint", "a" * 64)
-    write_latent(path, latent, identities, labels, **kwargs)
+    write_latent(path, latent, dataset, **kwargs)
+
+
+def sample_dataset(identities, labels, schema=SCHEMA):
+    n = len(labels) if labels is not None else len(next(iter(identities.values())))
+    return Dataset(schema, np.zeros((n, len(FEATURES))), identities, labels)
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_round_trip(tmp_path, dtype):
     latent, identities, labels = sample_rows()
     path = tmp_path / "flows.fclz"
-    write_sample(path, latent, identities, labels, dtype=dtype)
+    write_sample(path, latent, sample_dataset(identities, labels), dtype=dtype)
     loaded = read_latent(path)
     assert loaded.latent.dtype == np.dtype(dtype)
     assert np.array_equal(loaded.latent, latent.astype(dtype))
     assert loaded.identities == identities
+    assert list(loaded.identities) == list(ID_COLS)
     assert loaded.labels == labels
-    assert loaded.feature_names == FEATURES
-    assert loaded.identity_columns == ID_COLS
-    assert loaded.label_column == "label"
+    assert loaded.schema == SCHEMA
     assert loaded.preprocessor_fingerprint == "a" * 64
     assert loaded.forced is False
     assert loaded.n_rows == 7 and loaded.latent_dim == 4
@@ -56,61 +56,69 @@ def test_round_trip(tmp_path, dtype):
 def test_round_trip_unlabeled_and_forced(tmp_path):
     latent, identities, _ = sample_rows(n=3)
     path = tmp_path / "flows.fclz"
-    write_sample(path, latent, identities, None, forced=True)
+    unlabeled = FeatureSchema(ID_COLS, FEATURES, None)
+    write_sample(path, latent, sample_dataset(identities, None, unlabeled), forced=True)
     loaded = read_latent(path)
     assert loaded.labels is None
-    assert loaded.label_column == ""
+    assert loaded.schema == unlabeled
+    assert loaded.identities == identities
     assert loaded.forced is True
+
+
+def test_round_trip_without_identities_or_labels(tmp_path):
+    # The sidecar still holds one (empty) line per latent row.
+    latent, _, _ = sample_rows(n=4)
+    bare = FeatureSchema((), FEATURES, None)
+    path = tmp_path / "flows.fclz"
+    write_sample(path, latent, Dataset(bare, np.zeros((4, 21)), {}, None))
+    loaded = read_latent(path)
+    assert loaded.schema == bare
+    assert loaded.identities == {} and loaded.labels is None
+    assert np.array_equal(loaded.latent, latent.astype(np.float32))
 
 
 def test_identity_strings_survive_verbatim(tmp_path):
     # Identity fields are carried as text, never parsed as numbers.
     latent, identities, labels = sample_rows(n=3)
-    identities[0] = {
-        "src_ip": "::1",
-        "dst_ip": "fe80::2",
-        "src_port": "007",
-        "dst_port": "00443",
-        "protocol": "tcp,udp",
-    }
+    awkward = {"src_ip": "::1", "dst_ip": "fe80::2", "src_port": "007",
+               "dst_port": "00443", "protocol": "tcp,udp"}
+    for col, cell in awkward.items():
+        identities[col][0] = cell
     path = tmp_path / "flows.fclz"
-    write_sample(path, latent, identities, labels)
-    assert read_latent(path).identities[0] == identities[0]
-
-
-def test_missing_identity_key_written_empty(tmp_path):
-    latent, identities, labels = sample_rows(n=2)
-    del identities[1]["protocol"]
-    path = tmp_path / "flows.fclz"
-    write_sample(path, latent, identities, labels)
-    assert read_latent(path).identities[1]["protocol"] == ""
+    write_sample(path, latent, sample_dataset(identities, labels))
+    loaded = read_latent(path)
+    assert {col: cells[0] for col, cells in loaded.identities.items()} == awkward
 
 
 def test_write_is_deterministic(tmp_path):
     latent, identities, labels = sample_rows()
-    write_sample(tmp_path / "a.fclz", latent, identities, labels)
-    write_sample(tmp_path / "b.fclz", latent, identities, labels)
+    ds = sample_dataset(identities, labels)
+    write_sample(tmp_path / "a.fclz", latent, ds)
+    write_sample(tmp_path / "b.fclz", latent, ds)
     assert (tmp_path / "a.fclz").read_bytes() == (tmp_path / "b.fclz").read_bytes()
 
 
 def test_write_validation(tmp_path):
     latent, identities, labels = sample_rows()
+    ds = sample_dataset(identities, labels)
     target = tmp_path / "x.fclz"
     with pytest.raises(DataError):
-        write_sample(target, latent, identities[:-1], labels)
+        Dataset(SCHEMA, np.zeros((7, 21)), {**identities, "protocol": identities["protocol"][:-1]}, labels)
     with pytest.raises(DataError):
-        write_sample(target, latent, identities, labels[:-1])
+        Dataset(SCHEMA, np.zeros((7, 21)), identities, labels[:-1])
     with pytest.raises(DataError):
-        write_sample(target, latent, identities, labels, dtype="int32")
+        write_sample(target, latent, ds, dtype="int32")
     with pytest.raises(DataError):
-        write_sample(target, latent.ravel(), identities, labels)
+        write_sample(target, latent.ravel(), ds)
+    with pytest.raises(DataError):
+        write_sample(target, latent[:-1], ds)
     assert not target.exists()
 
 
 def test_read_rejects_corruption(tmp_path, reheader):
     latent, identities, labels = sample_rows()
     path = tmp_path / "flows.fclz"
-    write_sample(path, latent, identities, labels)
+    write_sample(path, latent, sample_dataset(identities, labels))
     raw = path.read_bytes()
 
     bad = tmp_path / "bad.fclz"
@@ -153,6 +161,17 @@ def test_read_rejects_corruption(tmp_path, reheader):
     ):
         bad.write_bytes(reheader(raw, mutate))
         with pytest.raises(ModelFormatError):
+            read_latent(bad)
+
+    # Header names that no FeatureSchema accepts.
+    for mutate, reason in (
+        (lambda h: {**h, "identity_columns": ["src_ip", "src_ip"]}, "more than once"),
+        (lambda h: {**h, "feature_names": h["feature_names"][:20]}, "exactly 21"),
+        (lambda h: {**h, "label_column": "src_ip"}, "more than once"),
+        (lambda h: {**h, "label_column": ""}, "no label column"),
+    ):
+        bad.write_bytes(reheader(raw, mutate))
+        with pytest.raises(ModelFormatError, match=reason):
             read_latent(bad)
 
     bad.write_bytes(raw[:8] + struct.pack("<I", 10**6) + raw[12:])
