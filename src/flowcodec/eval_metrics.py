@@ -272,19 +272,25 @@ def build_report(
 def save_row_percent_errors(
     original: np.ndarray, reconstructed: np.ndarray, path: str | Path
 ) -> None:
-    """Raw per-row dump: mean |percent error| over nonzero-denominator features."""
+    """Raw per-row dump: mean |percent error| over nonzero-denominator features,
+    empty for a row with none."""
     y = np.asarray(original, dtype=np.float64)
     yhat = np.asarray(reconstructed, dtype=np.float64)
     if y.shape != yhat.shape:
         raise DataError(f"shape mismatch: {y.shape} vs {yhat.shape}")
+    nonzero = y != 0.0
+    counted = np.count_nonzero(nonzero, axis=1)
+    excluded = y.shape[1] - counted
+    values = np.full(y.shape[0], "", dtype=object)
+    # Rows without a zero feature share one reduction; a row-wise mean over a
+    # contiguous row sums in the same order as the per-row one below.
+    whole = np.flatnonzero((counted > 0) & (excluded == 0))
+    if whole.size:
+        means = 100.0 * np.mean(np.abs((y[whole] - yhat[whole]) / y[whole]), axis=1)
+        values[whole] = list(map(repr, means.tolist()))
+    for i in np.flatnonzero((counted > 0) & (excluded > 0)).tolist():
+        nz = nonzero[i]
+        values[i] = repr(float(100.0 * np.mean(np.abs((y[i][nz] - yhat[i][nz]) / y[i][nz]))))
     with atomic_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "mean_abs_percent_error", "excluded_zero_features"])
-        for i in range(y.shape[0]):
-            nonzero = y[i] != 0.0
-            excl = int(y.shape[1] - np.count_nonzero(nonzero))
-            if np.any(nonzero):
-                val = repr(float(100.0 * np.mean(np.abs((y[i][nonzero] - yhat[i][nonzero]) / y[i][nonzero]))))
-            else:
-                val = ""
-            writer.writerow([i, val, excl])
+        fh.write("row,mean_abs_percent_error,excluded_zero_features\r\n")
+        fh.writelines(f"{i},{v},{e}\r\n" for i, (v, e) in enumerate(zip(values.tolist(), excluded.tolist())))

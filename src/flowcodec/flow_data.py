@@ -14,12 +14,15 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
+from typing import NoReturn, get_type_hints
 
 import numpy as np
 
-from ._fsutil import atomic_write
+from ._fsutil import atomic_write, conforms
 from .errors import ConfigError, DataError, EmptyDatasetError, RowParseError, SchemaError
 
 N_FEATURES = 21
@@ -86,14 +89,16 @@ class FeatureSchema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureSchema":
-        try:
-            return cls(
-                identity_columns=tuple(d.get("identity_columns", DEFAULT_IDENTITY_COLUMNS)),
-                compressible_columns=tuple(d.get("compressible_columns", DEFAULT_COMPRESSIBLE_COLUMNS)),
-                label_column=d.get("label_column", DEFAULT_LABEL_COLUMN),
-            )
-        except TypeError as e:
-            raise SchemaError(f"malformed schema mapping: {e}") from e
+        if not isinstance(d, dict):
+            raise SchemaError(f"schema must be a JSON object, got {d!r:.60}")
+        hints = get_type_hints(cls)  # a tuple field conforms as a JSON list
+        unknown = set(d) - set(hints)
+        if unknown:
+            raise SchemaError(f"unknown schema key(s) {sorted(unknown)}")
+        for key, value in d.items():
+            if not conforms(value, hints[key]):
+                raise SchemaError(f"schema {key!r} has the wrong type: {value!r:.60}")
+        return cls(**d)
 
 
 class Dataset:
@@ -152,7 +157,9 @@ def load_csv(path: str | Path, schema: FeatureSchema | None = None) -> Dataset:
     """Parse a header-driven CSV into a Dataset.
 
     Columns not named by the schema are ignored. Identity cells are kept
-    verbatim; feature cells must parse as finite reals.
+    verbatim; feature cells must parse as finite reals. Finiteness is checked
+    once over the whole matrix; a file with a bad row or cell is read again
+    by `_raise_first_bad_row` to name the first one.
     """
     schema = schema or FeatureSchema()
     path = Path(path)
@@ -167,31 +174,22 @@ def load_csv(path: str | Path, schema: FeatureSchema | None = None) -> Dataset:
             if missing:
                 raise SchemaError(f"{path}: missing column(s) {missing}")
             width = 1 + max(col_index[c] for c in schema.all_columns)
-            feat_idx = [col_index[c] for c in schema.compressible_columns]
+            feature_cells = itemgetter(*(col_index[c] for c in schema.compressible_columns))
             identities: dict[str, list[str]] = {c: [] for c in schema.identity_columns}
             ident_idx = [(identities[c], col_index[c]) for c in schema.identity_columns]
             label_idx = col_index[schema.label_column] if schema.label_column is not None else None
 
             feature_rows: list[list[float]] = []
             labels: list[str] | None = [] if label_idx is not None else None
-            for row_no, row in enumerate(reader, start=1):
+            for row in reader:
                 if not row:
                     continue
                 if len(row) < width:
-                    lacking = next(c for c in schema.all_columns if col_index[c] >= len(row))
-                    raise RowParseError(f"{path}: row {row_no}, column {lacking!r}: cell missing")
-                values = []
-                for col, j in zip(schema.compressible_columns, feat_idx):
-                    try:
-                        v = float(row[j])
-                    except ValueError as e:
-                        raise RowParseError(
-                            f"{path}: row {row_no}, column {col!r}: cannot parse {row[j]!r} as a number"
-                        ) from e
-                    if not math.isfinite(v):
-                        raise RowParseError(f"{path}: row {row_no}, column {col!r}: non-finite value {row[j]!r}")
-                    values.append(v)
-                feature_rows.append(values)
+                    _raise_first_bad_row(path, schema, col_index)
+                try:
+                    feature_rows.append(list(map(float, feature_cells(row))))
+                except ValueError:
+                    _raise_first_bad_row(path, schema, col_index)
                 for cells, j in ident_idx:
                     cells.append(row[j])
                 if labels is not None:
@@ -201,31 +199,80 @@ def load_csv(path: str | Path, schema: FeatureSchema | None = None) -> Dataset:
 
     if not feature_rows:
         raise EmptyDatasetError(f"{path}: no data rows")
-    return Dataset(schema, np.array(feature_rows, dtype=np.float64), identities, labels)
+    features = np.array(feature_rows, dtype=np.float64)
+    if not np.isfinite(features).all():
+        _raise_first_bad_row(path, schema, col_index)
+    return Dataset(schema, features, identities, labels)
 
 
-def _format_number(v: float) -> str:
+def _raise_first_bad_row(path: Path, schema: FeatureSchema, col_index: dict[str, int]) -> NoReturn:
+    """Raise RowParseError for the first data row of ``path``, in file order,
+    that lacks a schema column or holds a feature cell that is not a finite
+    number, naming its row, column and cell text."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row_no, row in enumerate(reader, start=1):
+            if not row:
+                continue
+            lacking = next((c for c in schema.all_columns if col_index[c] >= len(row)), None)
+            if lacking is not None:
+                raise RowParseError(f"{path}: row {row_no}, column {lacking!r}: cell missing")
+            for col in schema.compressible_columns:
+                cell = row[col_index[col]]
+                try:
+                    v = float(cell)
+                except ValueError as e:
+                    raise RowParseError(
+                        f"{path}: row {row_no}, column {col!r}: cannot parse {cell!r} as a number"
+                    ) from e
+                if not math.isfinite(v):
+                    raise RowParseError(f"{path}: row {row_no}, column {col!r}: non-finite value {cell!r}")
+    raise DataError(f"{path}: changed while it was read")
+
+
+# Any of these in a cell makes csv's QUOTE_MINIMAL rule quote it.
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+_WRITE_ROWS = 8192  # rows formatted per block, to bound the strings held at once
+
+
+def _quote_minimal(cells: list[str]) -> list[str]:
+    if _NEEDS_QUOTES.search("".join(cells)) is None:
+        return cells
+    return ['"' + c.replace('"', '""') + '"' if _NEEDS_QUOTES.search(c) else c for c in cells]
+
+
+def _format_feature(column: np.ndarray) -> list[str]:
     # Integral values print as ints so counts stay clean; everything else uses
     # repr, which round-trips float64 exactly.
-    v = float(v)
-    if v == int(v) and abs(v) < 2**53:
-        return str(int(v))
-    return repr(v)
+    integral = (column == np.trunc(column)) & (np.abs(column) < 2**53)
+    cells = np.empty(column.shape[0], dtype=object)
+    cells[integral] = list(map(str, column[integral].astype(np.int64).tolist()))
+    cells[~integral] = list(map(repr, column[~integral].tolist()))
+    return cells.tolist()
 
 
 def write_csv(dataset: Dataset, path: str | Path) -> None:
-    """Write a Dataset back out in schema column order."""
+    """Write a Dataset back out in schema column order, byte for byte as
+    `csv.writer` with its default dialect would: cells joined by ``,``, lines
+    ended by ``\\r\\n``, and QUOTE_MINIMAL, under which a cell holding ``,``,
+    ``"``, ``\\r`` or ``\\n`` is wrapped in double quotes with each inner quote
+    doubled. Feature cells are ints or float reprs and never need quoting.
+    Non-finite features are refused with DataError."""
+    if not np.isfinite(dataset.features).all():
+        raise DataError(f"{path}: refusing to write non-finite feature values")
     schema = dataset.schema
+    n = len(dataset)
     with atomic_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(schema.all_columns)
-        identities = [dataset.identities[c] for c in schema.identity_columns]
-        for i in range(len(dataset)):
-            row = [cells[i] for cells in identities]
-            row += [_format_number(v) for v in dataset.features[i]]
+        fh.write(",".join(_quote_minimal(list(schema.all_columns))) + "\r\n")
+        for start in range(0, n, _WRITE_ROWS):
+            block = slice(start, min(start + _WRITE_ROWS, n))
+            columns = [_quote_minimal(dataset.identities[c][block]) for c in schema.identity_columns]
+            columns += [_format_feature(column) for column in dataset.features[block].T]
             if schema.label_column is not None:
-                row.append(dataset.labels[i] if dataset.labels is not None else "")
-            writer.writerow(row)
+                labels = dataset.labels[block] if dataset.labels is not None else [""] * (block.stop - start)
+                columns.append(_quote_minimal(labels))
+            fh.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 def stratified_split(dataset: Dataset, test_fraction: float, seed: int) -> SplitIndices:

@@ -130,6 +130,8 @@ def read_latent(path: str | Path) -> LatentFile:
     latent = np.frombuffer(
         blob, dtype=_DTYPES[dtype], count=n_rows * latent_dim, offset=block_start
     ).reshape(n_rows, latent_dim).copy()
+    if not np.isfinite(latent).all():
+        raise ModelFormatError(f"{path}: latent block holds non-finite values")
 
     (sidecar_len,) = struct.unpack_from("<Q", blob, block_start + block_len)
     sidecar_start = block_start + block_len + 8

@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -113,6 +114,10 @@ def test_load_config_rejects_bad_input(tmp_path):
         {"train": {"adam_beta1": 1.5}},
         {"train": {"adam_epsilon": 0}},
         {"train": {"weight_decay": -1}},
+        # Schema blocks are typed too: a string is not a column list.
+        {"schema": {"identity_columns": "src_ip"}},
+        {"schema": {"label_column": 5}},
+        {"schema": {"identity_column": ["src_ip"]}},
     ):
         p.write_text(json.dumps(doc))
         with pytest.raises(ConfigError):
@@ -440,6 +445,29 @@ def test_corrupt_artifacts_exit_2_without_traceback(tmp_path, fast_config, capsy
         assert code == 2 and err.startswith("error:") and "Traceback" not in err
     assert not (tmp_path / "recon.csv").exists()
     assert not (tmp_path / "x.fclz").exists()
+
+
+def test_non_finite_latent_exits_2_without_traceback(tmp_path, fast_config, capsys):
+    data, out = tmp_path / "flows.csv", tmp_path / "out"
+    main(["synth", "--config", fast_config, "--output", str(data)])
+    main(["train", "--config", fast_config, "--input", str(data), "--output-dir", str(out)])
+    model, preproc = str(out / "autoencoder.fcae"), str(out / "preprocessor.json")
+    latent = tmp_path / "flows.fclz"
+    assert main(["compress", "--config", fast_config, "--model", model, "--preprocessor", preproc,
+                 "--input", str(data), "--output", str(latent)]) == 0
+    raw = bytearray(latent.read_bytes())
+    (header_len,) = struct.unpack_from("<I", raw, 8)
+    capsys.readouterr()
+
+    bad = tmp_path / "bad.fclz"
+    for value in (float("nan"), float("inf")):
+        struct.pack_into("<f", raw, 12 + header_len + 4 * 5, value)  # the sixth latent cell
+        bad.write_bytes(raw)
+        code = main(["decompress", "--model", model, "--preprocessor", preproc,
+                     "--input", str(bad), "--output", str(tmp_path / "recon.csv")])
+        err = capsys.readouterr().err
+        assert code == 2 and "non-finite" in err and "Traceback" not in err
+    assert not (tmp_path / "recon.csv").exists()
 
 
 def test_compress_is_deterministic(tmp_path, fast_config):

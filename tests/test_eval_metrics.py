@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -241,3 +243,31 @@ def test_row_percent_errors_csv(tmp_path):
     assert float(row0[1]) == pytest.approx(10.0)
     row1 = lines[2].split(",")
     assert row1[1] == "" and row1[2] == "2"
+
+
+def _reference_save_row_percent_errors(y: np.ndarray, yhat: np.ndarray) -> bytes:
+    """save_row_percent_errors' earlier per-row loop, through csv.writer."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["row", "mean_abs_percent_error", "excluded_zero_features"])
+    for i in range(y.shape[0]):
+        nonzero = y[i] != 0.0
+        excl = int(y.shape[1] - np.count_nonzero(nonzero))
+        if np.any(nonzero):
+            val = repr(float(100.0 * np.mean(np.abs((y[i][nonzero] - yhat[i][nonzero]) / y[i][nonzero]))))
+        else:
+            val = ""
+        writer.writerow([i, val, excl])
+    return out.getvalue().encode("utf-8")
+
+
+def test_row_percent_errors_match_the_per_row_reference(tmp_path):
+    rng = np.random.default_rng(21)
+    y = rng.lognormal(2.0, 3.0, (400, 21)) * rng.choice([-1.0, 1.0], (400, 21))
+    yhat = y * rng.normal(1.0, 0.3, y.shape) + rng.normal(0.0, 1e-3, y.shape)
+    y[rng.random(y.shape) < 0.03] = 0.0  # rows with some zero features
+    y[[5, 77, 399]] = 0.0  # all-zero rows
+    for rows, recon in ((y, yhat), (y[:1], yhat[:1]), (y[[5]], yhat[[5]]), (y[:, :0], yhat[:, :0])):
+        path = tmp_path / "rows.csv"
+        save_row_percent_errors(rows, recon, path)
+        assert path.read_bytes() == _reference_save_row_percent_errors(rows, recon)

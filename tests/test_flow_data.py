@@ -1,8 +1,10 @@
 import csv
+import io
 
 import numpy as np
 import pytest
 
+from flowcodec import flow_data
 from flowcodec.errors import (
     ConfigError,
     DataError,
@@ -180,6 +182,87 @@ def test_write_then_load_round_trips_floats_exactly(tmp_path):
     assert np.array_equal(back.features, ds2.features)
     assert back.labels == ds2.labels
     assert back.identities == ds2.identities
+
+
+def test_load_csv_reports_the_first_bad_cell_in_file_order(tmp_path):
+    # Finiteness is checked over the whole matrix after parsing, so a
+    # non-finite cell before an unparseable one must still be named first.
+    schema = FeatureSchema()
+    path = tmp_path / "flows.csv"
+    inf_row, junk_row = full_row(schema), full_row(schema)
+    inf_row["src2dst_bytes"] = "1e999"
+    junk_row["bidirectional_packets"] = "junk"
+    make_csv(path, schema, [full_row(schema), inf_row, junk_row])
+    with pytest.raises(RowParseError, match=r"row 2, column 'src2dst_bytes': non-finite value '1e999'"):
+        load_csv(path, schema)
+    make_csv(path, schema, [full_row(schema), junk_row, inf_row])
+    with pytest.raises(RowParseError, match=r"row 2, column 'bidirectional_packets': cannot parse 'junk'"):
+        load_csv(path, schema)
+
+
+def _reference_format_number(v: float) -> str:
+    # The row-wise formatter write_csv used before it worked by column.
+    v = float(v)
+    if v == int(v) and abs(v) < 2**53:
+        return str(int(v))
+    return repr(v)
+
+
+def _reference_write_csv(dataset: Dataset) -> bytes:
+    """write_csv's earlier row-wise output, through csv.writer."""
+    schema = dataset.schema
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(schema.all_columns)
+    identities = [dataset.identities[c] for c in schema.identity_columns]
+    for i in range(len(dataset)):
+        row = [cells[i] for cells in identities]
+        row += [_reference_format_number(v) for v in dataset.features[i]]
+        if schema.label_column is not None:
+            row.append(dataset.labels[i] if dataset.labels is not None else "")
+        writer.writerow(row)
+    return out.getvalue().encode("utf-8")
+
+
+AWKWARD_CELLS = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "", " ", "naïve 日本", '",\r\n', "plain"]
+EDGE_VALUES = [
+    -0.0, 0.0, 2.0**53, 2.0**53 + 2, -(2.0**53), 2.0**53 - 1, 1e16, 1e-300,
+    -7.0, -123456789.0, 0.1 + 0.2, 1e-17, -2.5, 5e-324, 1.7976931348623157e308,
+]
+
+
+def test_write_csv_matches_the_row_wise_reference(tmp_path, monkeypatch):
+    # Small blocks make the column-wise writer cross block boundaries.
+    monkeypatch.setattr(flow_data, "_WRITE_ROWS", 4)
+    schema = FeatureSchema(identity_columns=("src_ip", "note,with comma"), label_column='app "name"')
+    n = len(AWKWARD_CELLS) + 2
+    features = np.random.default_rng(3).lognormal(3.0, 2.0, (n, N_FEATURES))
+    features[:, 1] = np.rint(features[:, 1])
+    features[:, 2] = EDGE_VALUES[:n]
+    features[:, 3] = EDGE_VALUES[-n:]
+    cells = AWKWARD_CELLS + ["x", "y"]
+    identities = {"src_ip": cells, "note,with comma": cells[::-1]}
+    cases = [
+        Dataset(schema, features, identities, cells[1:] + cells[:1]),
+        Dataset(schema, features, identities, None),  # a label column without labels
+        Dataset(FeatureSchema((), label_column=None), -features, {}, None),
+        Dataset(schema, np.empty((0, N_FEATURES)), {c: [] for c in schema.identity_columns}, None),
+    ]
+    for k, ds in enumerate(cases):
+        path = tmp_path / f"case{k}.csv"
+        write_csv(ds, path)
+        assert path.read_bytes() == _reference_write_csv(ds), f"case {k}"
+
+
+def test_write_csv_refuses_non_finite_features(tmp_path):
+    schema = FeatureSchema()
+    for bad in (np.nan, np.inf, -np.inf):
+        features = np.ones((2, N_FEATURES))
+        features[1, 4] = bad
+        ds = Dataset(schema, features, blank_identities(schema, 2), None)
+        with pytest.raises(DataError, match="non-finite"):
+            write_csv(ds, tmp_path / "out.csv")
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_dataset_refuses_identity_columns_unlike_the_schema():
