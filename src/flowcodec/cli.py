@@ -24,7 +24,6 @@ from .errors import (
     DivergenceError,
     FingerprintMismatchError,
     FlowcodecError,
-    SchemaError,
 )
 from .flow_data import (
     Dataset,
@@ -166,27 +165,17 @@ def load_config(path: str | None, seed_override: int | None = None) -> PipelineC
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
-    schema_value = doc.get("schema")
-    try:
-        if schema_value is None:
-            schema = FeatureSchema()
-        elif isinstance(schema_value, str):
-            try:
-                schema = FeatureSchema.from_dict(
-                    json.loads(Path(schema_value).read_text(encoding="utf-8"))
-                )
-            except OSError as exc:
-                raise ConfigError(f"cannot read schema file {schema_value}: {exc}") from exc
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"schema file {schema_value} is not valid JSON: {exc}") from exc
-        elif isinstance(schema_value, dict):
-            schema = FeatureSchema.from_dict(schema_value)
-        else:
-            raise ConfigError("schema must be an object or a path string")
-    except SchemaError as exc:
-        # A schema that cannot be constructed is a config problem, not a
-        # data problem; keep the exit-code contract.
-        raise ConfigError(f"bad schema in config: {exc}") from exc
+    schema_block = doc.get("schema")
+    if schema_block is None:
+        schema_block = {}
+    elif isinstance(schema_block, str):  # a path to a schema file
+        try:
+            schema_block = json.loads(Path(schema_block).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise ConfigError(f"cannot read schema file {schema_block}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"schema file {schema_block} is not valid JSON: {exc}") from exc
+    schema = _build_block(FeatureSchema, schema_block, "schema")
 
     train_block = dict(doc.get("train", {}))
     if seed_override is not None or "seed" not in train_block:

@@ -279,18 +279,22 @@ def save_row_percent_errors(
     if y.shape != yhat.shape:
         raise DataError(f"shape mismatch: {y.shape} vs {yhat.shape}")
     nonzero = y != 0.0
-    counted = np.count_nonzero(nonzero, axis=1)
-    excluded = y.shape[1] - counted
+    excluded = y.shape[1] - np.count_nonzero(nonzero, axis=1)
     values = np.full(y.shape[0], "", dtype=object)
-    # Rows without a zero feature share one reduction; a row-wise mean over a
-    # contiguous row sums in the same order as the per-row one below.
-    whole = np.flatnonzero((counted > 0) & (excluded == 0))
-    if whole.size:
-        means = 100.0 * np.mean(np.abs((y[whole] - yhat[whole]) / y[whole]), axis=1)
-        values[whole] = list(map(repr, means.tolist()))
-    for i in np.flatnonzero((counted > 0) & (excluded > 0)).tolist():
-        nz = nonzero[i]
-        values[i] = repr(float(100.0 * np.mean(np.abs((y[i][nz] - yhat[i][nz]) / y[i][nz]))))
+    # One row-wise mean per zero pattern. Each row of a gathered block is
+    # contiguous, so it sums in the same order as a mean over that row alone.
+    # Bit-packed rows sort several times faster than boolean ones.
+    packed, group, counts = np.unique(
+        np.packbits(nonzero, axis=1), axis=0, return_inverse=True, return_counts=True
+    )
+    patterns = np.unpackbits(packed, axis=1, count=y.shape[1]).astype(bool)
+    members = np.split(np.argsort(group.reshape(-1), kind="stable"), np.cumsum(counts)[:-1])
+    for mask, rows in zip(patterns, members):
+        if mask.any():
+            block = np.ix_(rows, np.flatnonzero(mask))
+            means = 100.0 * np.mean(np.abs((y[block] - yhat[block]) / y[block]), axis=1)
+            values[rows] = list(map(repr, means.tolist()))
     with atomic_write(path) as fh:
-        fh.write("row,mean_abs_percent_error,excluded_zero_features\r\n")
-        fh.writelines(f"{i},{v},{e}\r\n" for i, (v, e) in enumerate(zip(values.tolist(), excluded.tolist())))
+        writer = csv.writer(fh)
+        writer.writerow(["row", "mean_abs_percent_error", "excluded_zero_features"])
+        writer.writerows(zip(range(y.shape[0]), values.tolist(), excluded.tolist()))

@@ -265,9 +265,14 @@ def test_row_percent_errors_match_the_per_row_reference(tmp_path):
     rng = np.random.default_rng(21)
     y = rng.lognormal(2.0, 3.0, (400, 21)) * rng.choice([-1.0, 1.0], (400, 21))
     yhat = y * rng.normal(1.0, 0.3, y.shape) + rng.normal(0.0, 1e-3, y.shape)
-    y[rng.random(y.shape) < 0.03] = 0.0  # rows with some zero features
+    y[rng.random(y.shape) < 0.03] = 0.0  # scattered zeros: many one-row patterns
+    y[100:160, 17] = 0.0  # patterns shared by many rows, as unanswered flows or
+    y[200:260, 3:9] = 0.0  # single-packet directions would give
     y[[5, 77, 399]] = 0.0  # all-zero rows
-    for rows, recon in ((y, yhat), (y[:1], yhat[:1]), (y[[5]], yhat[[5]]), (y[:, :0], yhat[:, :0])):
+    patterns, counts = np.unique(y != 0.0, axis=0, return_counts=True)
+    assert len(patterns) > 50 and (counts > 1).sum() >= 3
+    cases = ((y, yhat), (y[:1], yhat[:1]), (y[[5]], yhat[[5]]), (y[:0], yhat[:0]), (y[:, :0], yhat[:, :0]))
+    for rows, recon in cases:
         path = tmp_path / "rows.csv"
         save_row_percent_errors(rows, recon, path)
         assert path.read_bytes() == _reference_save_row_percent_errors(rows, recon)

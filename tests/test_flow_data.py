@@ -80,7 +80,7 @@ def test_schema_rejects_duplicates_and_overlap():
 
 def test_schema_dict_round_trip():
     schema = FeatureSchema(label_column=None)
-    again = FeatureSchema.from_dict(schema.to_dict())
+    again = FeatureSchema(**schema.to_dict())
     assert again == schema
 
 
@@ -185,8 +185,8 @@ def test_write_then_load_round_trips_floats_exactly(tmp_path):
 
 
 def test_load_csv_reports_the_first_bad_cell_in_file_order(tmp_path):
-    # Finiteness is checked over the whole matrix after parsing, so a
-    # non-finite cell before an unparseable one must still be named first.
+    # A row is parsed in one call and checked cell by cell only if that
+    # fails, so each kind of bad cell must still be named in file order.
     schema = FeatureSchema()
     path = tmp_path / "flows.csv"
     inf_row, junk_row = full_row(schema), full_row(schema)
@@ -198,6 +198,15 @@ def test_load_csv_reports_the_first_bad_cell_in_file_order(tmp_path):
     make_csv(path, schema, [full_row(schema), junk_row, inf_row])
     with pytest.raises(RowParseError, match=r"row 2, column 'bidirectional_packets': cannot parse 'junk'"):
         load_csv(path, schema)
+
+
+def test_load_csv_keeps_finite_rows_whose_sum_overflows(tmp_path):
+    # A row whose sum is finite skips the cell-by-cell check; a finite row
+    # whose sum overflows must take that check and pass it.
+    schema = FeatureSchema()
+    path = tmp_path / "flows.csv"
+    make_csv(path, schema, [full_row(schema, value=1e308), full_row(schema, value=-1e308)])
+    assert (np.abs(load_csv(path, schema).features) == 1e308).all()
 
 
 def _reference_format_number(v: float) -> str:
