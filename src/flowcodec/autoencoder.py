@@ -6,6 +6,19 @@ output, which stays affine. Training minimizes mean Huber reconstruction
 loss with Adam, global-norm gradient clipping, plateau-driven learning rate
 halving and early stopping; the returned model is the weights snapshot from
 the best test-loss epoch.
+
+Each epoch writes one row of ``training_history.csv``:
+
+- ``train_loss``: the running batch mean. Each batch's mean Huber loss is
+  taken from the forward pass its step already ran, before that step's
+  Adam update, and the epoch's value is their mean weighted by batch rows.
+  It is a diagnostic; nothing in training reads it.
+- ``test_loss``: the exact mean Huber loss on the test matrix with the
+  weights at the end of the epoch. The scheduler, early stopping and the
+  best-epoch snapshot read this column only.
+- ``learning_rate``: the rate every step of the epoch used.
+- ``seconds``: the epoch's wall time. It is outside the determinism
+  contract; every other column is a pure function of the inputs and seed.
 """
 
 from __future__ import annotations
@@ -169,7 +182,11 @@ def train(
 
     Each epoch runs a seeded shuffle of the training rows through batched
     forward/backward/clip/Adam, then evaluates the exact mean Huber loss on
-    both matrices. Raises DivergenceError if a loss goes non-finite.
+    the test matrix, which alone drives the scheduler, early stopping and
+    the returned snapshot. ``train_loss`` is the running batch mean, each
+    batch scored before its step's update, so no pass over the training
+    matrix runs; ``seconds`` is wall time, outside the determinism
+    contract. Raises DivergenceError if either loss goes non-finite.
     """
     train_matrix = np.asarray(train_matrix, dtype=np.float64)
     test_matrix = np.asarray(test_matrix, dtype=np.float64)
@@ -213,19 +230,21 @@ def train(
         t0 = time.perf_counter()
         lr = scheduler.lr
         perm = rng.permutation(n)
+        loss_sum = 0.0
         # Overflow on the way to divergence is expected; the explicit
         # finiteness check below turns it into DivergenceError.
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, n, config.batch_size):
                 batch = train_matrix[perm[start : start + config.batch_size]]
                 out, cache = forward(layers, activations, batch, slope, with_cache=True)
+                loss_sum += huber_loss(batch, out, config.huber_delta) * batch.shape[0]
                 grad_out = huber_loss_grad(batch, out, config.huber_delta)
                 grads = backward(layers, activations, cache, grad_out, slope)
                 grads = clip_global_norm(grads, config.clip_max_norm)
                 step_count += 1
                 adam_step(layers, grads, config, step_count, learning_rate=lr)
 
-            train_loss = huber_loss(train_matrix, forward(layers, activations, train_matrix, slope), config.huber_delta)
+            train_loss = loss_sum / n
             test_loss = huber_loss(test_matrix, forward(layers, activations, test_matrix, slope), config.huber_delta)
         if not (np.isfinite(train_loss) and np.isfinite(test_loss)):
             raise DivergenceError(epoch)

@@ -7,7 +7,8 @@ never goes through the autoencoder.
 
 The header names the schema's columns; the sidecar holds the `Dataset` layout,
 one CSV column per identity field, then the label if any, one line per latent
-row (an empty line when the schema has neither).
+row (an empty line when the schema has neither). Cells are quoted where
+csv needs it, or all of them when any cell holds a carriage return.
 """
 
 from __future__ import annotations
@@ -84,21 +85,29 @@ def write_latent(
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     block = np.ascontiguousarray(latent.astype(_DTYPES[dtype])).tobytes()
 
-    sidecar = io.StringIO()
-    writer = csv.writer(sidecar, lineterminator="\n")
     columns = [dataset.identities[c] for c in schema.identity_columns]
     if labeled:
         columns.append(dataset.labels)
-    writer.writerow(list(schema.identity_columns) + ([schema.label_column] if labeled else []))
-    for i in range(len(dataset)):
-        writer.writerow([cells[i] for cells in columns])
-    sidecar_bytes = sidecar.getvalue().encode("utf-8")
+    rows = [list(schema.identity_columns) + ([schema.label_column] if labeled else [])]
+    rows += [[cells[i] for cells in columns] for i in range(len(dataset))]
+    sidecar = _csv_text(rows, csv.QUOTE_MINIMAL)
+    if "\r" in sidecar:
+        # The writer quotes a cell only for the delimiter, the quote char or
+        # "\n", but the reader ends a record at an unquoted "\r".
+        sidecar = _csv_text(rows, csv.QUOTE_ALL)
+    sidecar_bytes = sidecar.encode("utf-8")
 
     with atomic_write(path, "wb") as fh:
         fh.write(frame(LATENT_MAGIC, LATENT_FORMAT_VERSION, header_bytes))
         fh.write(block)
         fh.write(struct.pack("<Q", len(sidecar_bytes)))
         fh.write(sidecar_bytes)
+
+
+def _csv_text(rows: list[list[str]], quoting: int) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n", quoting=quoting).writerows(rows)
+    return buf.getvalue()
 
 
 def read_latent(path: str | Path) -> LatentFile:

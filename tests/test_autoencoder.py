@@ -13,7 +13,7 @@ from flowcodec.autoencoder import (
     train,
 )
 from flowcodec.errors import DataError, DivergenceError, ModelFormatError
-from flowcodec.neural import TrainConfig
+from flowcodec.neural import TrainConfig, huber_loss, huber_loss_grad, init_layers
 
 
 def tiny_config(**kw):
@@ -109,8 +109,6 @@ def test_train_basic_invariants():
 def test_train_snapshots_best_epoch_weights():
     xtr, xte = tiny_data(seed=3)
     model, hist = train(xtr, xte, tiny_config())
-    from flowcodec.neural import huber_loss
-
     loss_now = huber_loss(xte, reconstruct(model, xte), 1.0)
     # The returned weights are the best-epoch snapshot, so recomputing the
     # test loss reproduces the recorded best exactly.
@@ -160,6 +158,137 @@ def test_history_csv(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "1"
     assert float(first[1]) == hist.epochs[0].train_loss
+
+
+# ---------------------------------------------------------------- reference loop
+#
+# The training loop as it was before train_loss came from the batch passes:
+# an exact train-loss pass over the whole matrix after every epoch, and its
+# own copies of forward, backward (with the LeakyReLU gradient multiplied
+# in), global-norm clipping and Adam, written out operation by operation.
+# Initialization, the shuffle and the Huber loss are shared with the library.
+
+
+def _ref_forward(layers, x, slope, cache=None):
+    a = x
+    for i, (W, b) in enumerate(layers):
+        z = a @ W.T + b
+        if cache is not None:
+            cache.append((a, z))
+        a = np.maximum(slope * z, z) if i < len(layers) - 1 else z
+    return a
+
+
+def _ref_backward(layers, cache, grad_out, slope):
+    grads = [None] * len(layers)
+    da = grad_out
+    for i in range(len(layers) - 1, -1, -1):
+        a_in, z = cache[i]
+        dz = da * np.where(z > 0.0, 1.0, slope) if i < len(layers) - 1 else da
+        grads[i] = (dz.T @ a_in, dz.sum(axis=0))
+        if i > 0:
+            da = dz @ layers[i][0]
+    return grads
+
+
+def _ref_clip(grads, max_norm):
+    total = 0.0
+    for dW, db in grads:
+        total += float(np.sum(dW * dW)) + float(np.sum(db * db))
+    norm = float(np.sqrt(total))
+    if norm <= max_norm or norm == 0.0:
+        return grads, False
+    scale = max_norm / norm
+    return [(dW * scale, db * scale) for dW, db in grads], True
+
+
+def _ref_adam(layers, state, grads, cfg, step, lr):
+    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon
+    bc1 = 1.0 - b1**step
+    bc2 = 1.0 - b2**step
+    for (W, b), st, (dW, db) in zip(layers, state, grads):
+        gW = dW
+        if cfg.weight_decay != 0.0 and not cfg.decoupled_weight_decay:
+            gW = dW + cfg.weight_decay * W
+        st["mW"] = b1 * st["mW"] + (1.0 - b1) * gW
+        st["vW"] = b2 * st["vW"] + (1.0 - b2) * gW * gW
+        st["mb"] = b1 * st["mb"] + (1.0 - b1) * db
+        st["vb"] = b2 * st["vb"] + (1.0 - b2) * db * db
+        if cfg.weight_decay != 0.0 and cfg.decoupled_weight_decay:
+            W -= lr * cfg.weight_decay * W
+        W -= lr * (st["mW"] / bc1) / (np.sqrt(st["vW"] / bc2) + eps)
+        b -= lr * (st["mb"] / bc1) / (np.sqrt(st["vb"] / bc2) + eps)
+
+
+def _reference_train(xtr, xte, cfg, slope=0.2):
+    """Returns the best-epoch weights, one (test_loss, learning_rate, exact
+    train loss, batch losses and rows) tuple per epoch, and the number of
+    steps the clip fired on."""
+    dims = architecture_dims(xtr.shape[1])
+    init_ss, shuffle_ss = np.random.SeedSequence(cfg.seed).spawn(2)
+    layers = [(l.W, l.b) for l in init_layers(dims, slope, init_ss)]
+    state = [{k: np.zeros_like(W if k.endswith("W") else b) for k in ("mW", "vW", "mb", "vb")}
+             for W, b in layers]
+    rng = np.random.default_rng(shuffle_ss)
+    sched = PlateauScheduler(cfg.learning_rate, cfg.plateau_factor, cfg.plateau_patience,
+                             cfg.improvement_threshold, cfg.min_lr)
+    stopper = EarlyStopper(cfg.early_stop_patience, cfg.improvement_threshold)
+    epochs, best, best_loss, step, clipped = [], None, float("inf"), 0, 0
+    for _ in range(cfg.max_epochs):
+        lr = sched.lr
+        perm = rng.permutation(xtr.shape[0])
+        batches = []
+        for start in range(0, xtr.shape[0], cfg.batch_size):
+            batch = xtr[perm[start : start + cfg.batch_size]]
+            cache = []
+            out = _ref_forward(layers, batch, slope, cache)
+            batches.append((huber_loss(batch, out, cfg.huber_delta), batch.shape[0]))
+            grads = _ref_backward(layers, cache, huber_loss_grad(batch, out, cfg.huber_delta), slope)
+            grads, fired = _ref_clip(grads, cfg.clip_max_norm)
+            clipped += fired
+            step += 1
+            _ref_adam(layers, state, grads, cfg, step, lr)
+        exact_train = huber_loss(xtr, _ref_forward(layers, xtr, slope), cfg.huber_delta)
+        test_loss = huber_loss(xte, _ref_forward(layers, xte, slope), cfg.huber_delta)
+        epochs.append((test_loss, lr, exact_train, batches))
+        if test_loss < best_loss:
+            best_loss, best = test_loss, [(W.copy(), b.copy()) for W, b in layers]
+        sched.step(test_loss)
+        if stopper.step(test_loss):
+            break
+    return best, epochs, clipped
+
+
+@pytest.mark.parametrize("decoupled", [False, True])
+def test_train_matches_reference_loop_bit_for_bit(decoupled):
+    # 64 training rows in batches of 24 (the last one short); a clip norm
+    # that some steps exceed and others do not; a weight decay large enough
+    # to matter; and an improvement threshold no epoch can meet, so the rate
+    # halves from the third epoch on.
+    xtr, xte = tiny_data(n=80, seed=13)
+    cfg = tiny_config(max_epochs=4, batch_size=24, clip_max_norm=2.0, weight_decay=1e-2,
+                      decoupled_weight_decay=decoupled, plateau_patience=1,
+                      improvement_threshold=1e3)
+    model, hist = train(xtr, xte, cfg)
+    best, epochs, clipped = _reference_train(xtr, xte, cfg)
+
+    assert 0 < clipped < 12
+    assert len(hist.epochs) == len(epochs) == 4
+    for got, want in zip(model.encoder_layers + model.decoder_layers, best):
+        assert got.W.tobytes() == want[0].tobytes()
+        assert got.b.tobytes() == want[1].tobytes()
+    assert [e.test_loss for e in hist.epochs] == [e[0] for e in epochs]
+    assert [e.learning_rate for e in hist.epochs] == [e[1] for e in epochs]
+    assert [e.learning_rate for e in hist.epochs] == [0.001, 0.001, 0.0005, 0.00025]
+    for e, (_, _, exact_train, batches) in zip(hist.epochs, epochs):
+        assert [rows for _, rows in batches] == [24, 24, 16]
+        weighted = 0.0
+        for loss, rows in batches:
+            weighted += loss * rows
+        assert e.train_loss == weighted / 64
+        # The running mean lags the weights it ends with, so it differs
+        # from the exact end-of-epoch loss the parent recorded.
+        assert e.train_loss != exact_train
 
 
 # ---------------------------------------------------------------- codec

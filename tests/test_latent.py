@@ -89,6 +89,16 @@ def test_identity_strings_survive_verbatim(tmp_path):
     loaded = read_latent(path)
     assert {col: cells[0] for col, cells in loaded.identities.items()} == awkward
 
+    # Line breaks of every kind, a bare "\r" above all, which the csv
+    # writer leaves unquoted unless told otherwise.
+    for cell in ("a\rb", "\r", "a\r\nb", "a\nb"):
+        identities["src_ip"][1] = cell
+        labels[2] = cell
+        write_sample(path, latent, sample_dataset(identities, labels))
+        loaded = read_latent(path)
+        assert loaded.identities == identities
+        assert loaded.labels == labels
+
 
 def test_write_is_deterministic(tmp_path):
     latent, identities, labels = sample_rows()
