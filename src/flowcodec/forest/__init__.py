@@ -1,6 +1,10 @@
 """From-scratch random forest: bagged CART trees with Gini splits.
 
-Everything is numpy; the per-node split search is `splitter.scan_sorted`.
+Everything is numpy. `fit_tree` sorts each feature column once per tree
+and partitions those orders stably at every split, so a node's columns are
+always sorted; `splitter.scan_sorted` then scores all of a node's candidate
+columns in one pass. Equal scores keep the lowest feature index, then the
+earliest boundary.
 """
 
 from .model import (

@@ -98,6 +98,23 @@ class DecisionTree:
         return int(depths.max())
 
 
+def _checked_inputs(X: np.ndarray, y: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
+    """X as contiguous float64 and y as int64, or DataError if the shapes
+    disagree, a label lies outside [0, n_classes) or X holds a non-finite
+    value."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.int64)
+    if X.ndim != 2 or X.shape[0] < 1:
+        raise DataError("X must be a non-empty 2-D matrix")
+    if y.shape != (X.shape[0],):
+        raise DataError(f"y shape {y.shape} does not match {X.shape[0]} rows")
+    if n_classes < 1 or y.min() < 0 or y.max() >= n_classes:
+        raise DataError("labels must lie in [0, n_classes)")
+    if not np.all(np.isfinite(X)):
+        raise DataError("X contains non-finite values")
+    return X, y
+
+
 def fit_tree(
     X: np.ndarray,
     y: np.ndarray,
@@ -111,22 +128,24 @@ def fit_tree(
     node (only when the subset is proper, so "all" consumes no randomness).
     Tie-breaks are deterministic: equal split scores keep the lowest feature
     index and earliest boundary, equal leaf counts keep the lowest class id.
-    """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise DataError("X must be a non-empty 2-D matrix")
-    if y.shape != (X.shape[0],):
-        raise DataError(f"y shape {y.shape} does not match {X.shape[0]} rows")
-    if n_classes < 1 or y.min() < 0 or y.max() >= n_classes:
-        raise DataError("labels must lie in [0, n_classes)")
-    if not np.all(np.isfinite(X)):
-        raise DataError("X contains non-finite values")
 
+    Each feature column is sorted once per tree. A node holds its rows as
+    one such order per feature, and a split partitions every order stably,
+    so each node's columns arrive sorted and the node's candidates are
+    scored in one `scan_sorted` call. The sort need not be stable: a
+    boundary only falls between distinct values, so the rows on each side,
+    the score and the threshold do not depend on how equal values are
+    ordered.
+    """
+    X, y = _checked_inputs(X, y, n_classes)
     scan = splitter.scan_sorted
-    n_features = X.shape[1]
+    n, n_features = X.shape
     k = params.features_per_split(n_features)
     rng = np.random.default_rng(seed)
+    # The narrowest label type lets the scan's sort by label run as a radix sort.
+    y_small = y.astype(np.min_scalar_type(n_classes - 1))
+    all_features = np.arange(n_features)
+    goes_left = np.zeros(n, dtype=bool)
 
     feature: list[int] = []
     threshold: list[float] = []
@@ -135,12 +154,14 @@ def fit_tree(
     counts: list[np.ndarray] = []
 
     # Explicit stack keeps preorder ids without recursion-depth limits:
-    # push right before left so the left subtree is numbered first.
+    # push right before left so the left subtree is numbered first. Each
+    # entry's order is [n_features, rows in node]: row ids by feature value.
     stack: list[tuple[np.ndarray, int, int, bool]] = [
-        (np.arange(X.shape[0], dtype=np.int64), 0, -1, False)
+        (np.argsort(X.T, axis=1), 0, -1, False)
     ]
     while stack:
-        rows, depth, parent, is_left = stack.pop()
+        order, depth, parent, is_left = stack.pop()
+        m = order.shape[1]
         node = len(feature)
         if parent >= 0:
             if is_left:
@@ -151,11 +172,11 @@ def fit_tree(
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        node_counts = np.bincount(y[rows], minlength=n_classes)
+        node_counts = np.bincount(y[order[0]], minlength=n_classes)
         counts.append(node_counts)
 
-        pure = int(node_counts.max()) == rows.shape[0]
-        too_small = rows.shape[0] < params.min_samples_split
+        pure = int(node_counts.max()) == m
+        too_small = m < params.min_samples_split
         too_deep = params.max_depth is not None and depth >= params.max_depth
         if pure or too_small or too_deep:
             continue
@@ -163,28 +184,21 @@ def fit_tree(
         if k < n_features:
             candidates = np.sort(rng.choice(n_features, size=k, replace=False))
         else:
-            candidates = np.arange(n_features)
-
-        best_score = -np.inf
-        best_feature = -1
-        best_threshold = 0.0
-        labels = y[rows]
-        for f in candidates:
-            col = X[rows, f]
-            order = np.argsort(col, kind="stable")
-            score, thr, found = scan(col[order], labels[order], n_classes)
-            if found and score > best_score:
-                best_score = score
-                best_feature = int(f)
-                best_threshold = thr
-        if best_feature < 0:
+            candidates = all_features
+        rows = order[candidates]
+        best = scan(X[rows, candidates[:, np.newaxis]], y_small[rows], n_classes)
+        if best is None:
             continue
+        _, row, n_left, threshold[node] = best
+        feature[node] = int(candidates[row])
 
-        feature[node] = best_feature
-        threshold[node] = best_threshold
-        go_left = X[rows, best_feature] <= best_threshold
-        stack.append((rows[~go_left], depth + 1, node, False))
-        stack.append((rows[go_left], depth + 1, node, True))
+        # The winning column is sorted, so its first n_left rows go left.
+        left_rows = rows[row, :n_left]
+        goes_left[left_rows] = True
+        mask = goes_left[order]
+        goes_left[left_rows] = False
+        stack.append((order[~mask].reshape(n_features, m - n_left), depth + 1, node, False))
+        stack.append((order[mask].reshape(n_features, n_left), depth + 1, node, True))
 
     return DecisionTree(
         feature=np.asarray(feature, dtype=np.int64),
@@ -238,14 +252,11 @@ def fit_forest(
     SeedSequence([seed, i]), so any single tree can be rebuilt without
     replaying the stream for the ones before it.
     """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.int64)
     if n_trees < 1:
         raise DataError(f"n_trees must be >= 1, got {n_trees}")
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise DataError("X must be a non-empty 2-D matrix")
-    if y.shape != (X.shape[0],):
-        raise DataError(f"y shape {y.shape} does not match {X.shape[0]} rows")
+    # Checked on the full inputs: a bad row that no bootstrap draws would
+    # otherwise pass unnoticed.
+    X, y = _checked_inputs(X, y, n_classes)
 
     n = X.shape[0]
     trees = []
@@ -299,8 +310,9 @@ def save_forest(model: ForestModel, path: str | Path) -> None:
 
 def load_forest(path: str | Path) -> ForestModel:
     """Read a forest back, checking the preorder layout predict relies on:
-    every child id lies in (node, n_nodes) and every split feature in
-    [0, n_features)."""
+    every child id lies in (node, n_nodes), every split feature in
+    [0, n_features), every threshold is finite and no leaf count is
+    negative."""
     doc = read_json(path, "forest file")
     if doc.get("format_version") != FOREST_FORMAT_VERSION:
         raise ModelFormatError(f"unsupported forest file version in {path}")
@@ -328,10 +340,14 @@ def load_forest(path: str | Path) -> ForestModel:
                 raise ModelFormatError(f"{where}: child ids break the preorder layout")
         if (feature >= n_features).any() or (feature < -1).any():
             raise ModelFormatError(f"{where}: split feature outside [0, {n_features})")
+        if not np.isfinite(threshold).all():
+            raise ModelFormatError(f"{where}: non-finite threshold")
         counts = np.zeros((n_nodes, n_classes), dtype=np.int64)
         leaf_rows = json_field(t, "leaf_counts", np.int64, where, ndim=2)
         if leaf_rows.shape != (n_nodes - int(internal.sum()), n_classes):
             raise ModelFormatError(f"leaf count block malformed in {path}")
+        if (leaf_rows < 0).any():
+            raise ModelFormatError(f"{where}: negative leaf count")
         counts[~internal] = leaf_rows
         # Children have higher preorder ids, so one reverse sweep fills
         # internal counts bottom-up.

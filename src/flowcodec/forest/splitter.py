@@ -1,11 +1,17 @@
-"""The forest's split scan: one numpy pass per sorted feature column.
+"""The forest's split scan: one numpy pass over a node's candidate columns.
+
+`fit_tree` sorts each feature column once per tree and keeps every node's
+rows in that order by stable partition, so a node hands this module its
+candidate columns already sorted, as one `[k, m]` block, and the scan
+scores every boundary of every candidate in one pass.
 
 Scores are sums of squared integer class counts divided by float64
-partition sizes, left term plus right term, and the first boundary that
-attains the maximum wins, so a tree is a pure function of its inputs and
-seed. `fit_tree` looks `scan_sorted` up on this module at call time, so a
-caller may wrap it (to count or time calls, say) without touching the tree
-code.
+partition sizes, left term plus right term. The sums come from integer
+prefix sums, so each term is exact up to its division. Ties go to the
+lowest candidate row, then the earliest boundary, so a tree is a pure
+function of its inputs and seed. `fit_tree` looks `scan_sorted` up on this
+module at call time, so a caller may wrap it (to count or time calls, say)
+without touching the tree code.
 """
 
 from __future__ import annotations
@@ -15,43 +21,65 @@ import numpy as np
 
 def backend_name() -> str:
     """Name of the split kernel; recorded with benchmark results."""
-    return "python"
+    return "presort"
 
 
 def scan_sorted(
     values: np.ndarray, labels: np.ndarray, n_classes: int
-) -> tuple[float, float, bool]:
-    """Best binary split of a column already sorted ascending.
+) -> tuple[float, int, int, float] | None:
+    """Best binary split over k candidate columns, each sorted ascending.
 
-    values: float64[n] sorted ascending; labels: int64[n] aligned with values.
-    Candidate boundaries sit between consecutive distinct values; the split
-    score is sum_k(count_left_k^2)/n_left + sum_k(count_right_k^2)/n_right,
-    which ranks splits identically to weighted Gini impurity but needs no
-    subtraction. Returns (score, threshold, found); threshold is the midpoint
-    of the boundary pair, nudged down to the lower value if rounding lands it
-    on the upper one so `value <= threshold` always sends the lower side left.
+    values: float64[k, m], each row sorted ascending; labels: integer[k, m]
+    aligned with values, every row a permutation of the same m labels (the
+    node's rows, ordered by that row's feature). Candidate boundaries sit
+    between consecutive distinct values of a row; the split score is
+    sum_c(left_c^2)/n_left + sum_c(right_c^2)/n_right, which ranks splits
+    identically to weighted Gini impurity but needs no subtraction.
+
+    Returns None when no row has two distinct values, else
+    (score, row, n_left, threshold): the winning row of `values`, the size
+    of its left side, and the threshold, the midpoint of the boundary pair
+    nudged down to the lower value if rounding lands it on the upper one, so
+    `value <= threshold` sends exactly the first n_left entries left. Equal
+    scores keep the lowest row, then the earliest boundary.
     """
-    n = values.shape[0]
-    if n < 2 or values[0] == values[n - 1]:
-        return 0.0, 0.0, False
+    k, m = values.shape
+    if m < 2:
+        return None
 
-    onehot = np.zeros((n, n_classes), dtype=np.int64)
-    onehot[np.arange(n), labels] = 1
-    left_counts = np.cumsum(onehot, axis=0)
-    total = left_counts[-1]
-    left_counts = left_counts[:-1]
-    right_counts = total[np.newaxis, :] - left_counts
+    # Every row holds the same labels, so the class totals are shared.
+    # sum_c(left_c^2) grows by 2*occ + 1 at each entry, where occ counts the
+    # earlier entries of that entry's class: a stable sort by label puts each
+    # class in one run, in which occ is the offset from the run's start.
+    # The [k, m] work arrays are updated in place, so that a large node
+    # holds few of them at once.
+    total = np.bincount(labels[0], minlength=n_classes)
+    by_class = np.argsort(labels, axis=1, kind="stable")
+    occ = np.arange(m) - np.repeat(np.cumsum(total) - total, total)
+    left_sq = np.empty((k, m), dtype=np.int64)
+    left_sq[np.arange(k)[:, np.newaxis], by_class] = 2 * occ + 1
+    del by_class
+    np.cumsum(left_sq, axis=1, out=left_sq)
+    # sum_c(right_c^2) = sum_c(total_c^2) - 2*sum_c(total_c*left_c) + sum_c(left_c^2)
+    right_sq = total[labels]
+    np.cumsum(right_sq, axis=1, out=right_sq)
+    right_sq *= -2
+    right_sq += left_sq
+    right_sq += int(total @ total)
 
-    n_left = np.arange(1, n, dtype=np.float64)
-    n_right = np.float64(n) - n_left
-    score = (
-        np.sum(left_counts * left_counts, axis=1) / n_left
-        + np.sum(right_counts * right_counts, axis=1) / n_right
-    )
-    score = np.where(values[1:] != values[:-1], score, -np.inf)
+    n_left = np.arange(1, m, dtype=np.float64)
+    n_right = np.float64(m) - n_left
+    score = left_sq[:, :-1] / n_left
+    del left_sq
+    score += right_sq[:, :-1] / n_right
+    score[values[:, 1:] == values[:, :-1]] = -np.inf
 
-    best = int(np.argmax(score))
-    threshold = 0.5 * (values[best] + values[best + 1])
-    if threshold >= values[best + 1]:
-        threshold = values[best]
-    return float(score[best]), float(threshold), True
+    row, b = divmod(int(np.argmax(score)), m - 1)
+    best = score[row, b]
+    if best == -np.inf:
+        return None
+    lo, hi = values[row, b], values[row, b + 1]
+    threshold = 0.5 * (lo + hi)
+    if threshold >= hi:
+        threshold = lo
+    return float(best), row, b + 1, float(threshold)

@@ -1,7 +1,13 @@
 import json
+import os
 import struct
 
 import pytest
+
+# Pin BLAS to one thread before any test module imports numpy: two OpenBLAS
+# threads at times stall small matrix products on a two-core machine. A
+# value already set in the environment wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
 @pytest.fixture

@@ -43,37 +43,96 @@ def brute_force_scan(values, labels, n_classes):
     return best_score, best_thr, found
 
 
-def random_column(rng):
-    n = int(rng.integers(2, 40))
-    k = int(rng.integers(2, 5))
+def brute_force_batch(values, labels, n_classes):
+    """The batched scan's answer from the per-column oracle: the first row
+    with the highest score wins, and n_left counts the values at or below
+    the threshold."""
+    best = None
+    for row in range(values.shape[0]):
+        score, thr, found = brute_force_scan(values[row], labels[row], n_classes)
+        if found and (best is None or score > best[0]):
+            best = (score, row, int(np.sum(values[row] <= thr)), thr)
+    return best
+
+
+def sorted_block(X, y, candidates):
+    """The [k, m] values and labels fit_tree hands the scan: each candidate
+    column of X with the labels, ordered by that column (stable)."""
+    order = np.argsort(X[:, candidates].T, axis=1, kind="stable")
+    return np.take_along_axis(X[:, candidates].T, order, axis=1), y[order]
+
+
+def random_block(rng):
+    m = int(rng.integers(1, 40))
+    n_features = int(rng.integers(1, 6))
+    n_classes = int(rng.integers(2, 5))
     if rng.random() < 0.3:
         # Heavy ties exercise the distinct-boundary rule.
-        values = rng.integers(0, 4, size=n).astype(np.float64)
+        X = rng.integers(0, 4, size=(m, n_features)).astype(np.float64)
     else:
-        values = rng.normal(size=n)
-    labels = rng.integers(0, k, size=n).astype(np.int64)
-    return values, labels, k
+        X = rng.normal(size=(m, n_features))
+    y = rng.integers(0, n_classes, size=m).astype(np.int64)
+    k = int(rng.integers(1, n_features + 1))
+    candidates = np.sort(rng.choice(n_features, size=k, replace=False))
+    return (*sorted_block(X, y, candidates), n_classes)
 
 
 # ---------------------------------------------------------------- scan
 
 
 def test_scan_matches_brute_force_exactly():
-    assert backend_name() == "python"
+    assert backend_name() == "presort"
     rng = np.random.default_rng(100)
     for _ in range(300):
-        values, labels, k = random_column(rng)
-        order = np.argsort(values, kind="stable")
-        got = scan_sorted(values[order], labels[order], k)
-        want = brute_force_scan(values, labels, k)
-        assert got == want, f"{got} != {want} on {values!r} {labels!r}"
+        values, labels, k = random_block(rng)
+        want = brute_force_batch(values, labels, k)
+        # fit_tree hands the scan its labels in the narrowest integer type.
+        for dtype in (np.int64, np.uint8):
+            got = scan_sorted(values, labels.astype(dtype), k)
+            assert got == want, f"{got} != {want} on {values!r} {labels!r}"
+
+
+def test_scan_tie_across_rows_keeps_the_lowest_row():
+    rng = np.random.default_rng(102)
+    for _ in range(100):
+        m = int(rng.integers(2, 30))
+        col = rng.integers(0, 5, size=m).astype(np.float64)
+        y = rng.integers(0, 3, size=m).astype(np.int64)
+        # The same column twice, and an increasing affine copy of it: every
+        # boundary scores the same in all three rows, at other thresholds.
+        X = np.column_stack([2.0 * col + 1.0, col, col])
+        for candidates in ([0, 1, 2], [1, 2], [1, 0]):
+            values, labels = sorted_block(X, y, candidates)
+            got = scan_sorted(values, labels, 3)
+            assert got == brute_force_batch(values, labels, 3)
+            if got is not None:
+                assert got[1] == 0
+
+
+def test_scan_tie_across_rows_at_different_boundaries():
+    # Row 0 splits the labels {0} | {0, 1, 1}, row 1 splits {0, 0, 1} | {1}:
+    # both score 1/1 + 5/3. The first row wins wherever its boundary lies.
+    values = np.array([[0.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 1.0]])
+    labels = np.array([[0, 0, 1, 1], [0, 0, 1, 1]], dtype=np.int64)
+    got = scan_sorted(values, labels, 2)
+    assert got == brute_force_batch(values, labels, 2)
+    assert got[1:3] == (0, 1)
+    got = scan_sorted(values[::-1].copy(), labels[::-1].copy(), 2)
+    assert got == brute_force_batch(values[::-1], labels[::-1], 2)
+    assert got[1:3] == (0, 3)
 
 
 def test_scan_constant_column_finds_nothing():
-    v = np.full(6, 2.5)
     y = np.array([0, 1, 0, 1, 0, 1], dtype=np.int64)
-    assert scan_sorted(v, y, 2) == (0.0, 0.0, False)
-    assert scan_sorted(np.array([1.0]), np.array([0], dtype=np.int64), 2) == (0.0, 0.0, False)
+    constant = np.full(6, 2.5)
+    assert scan_sorted(constant[np.newaxis], y[np.newaxis], 2) is None
+    assert scan_sorted(np.array([[1.0]]), np.array([[0]], dtype=np.int64), 2) is None
+    assert scan_sorted(np.array([[1.0], [2.0]]), np.array([[0], [0]], dtype=np.int64), 2) is None
+    # A constant row before a varying one does not win with its -inf scores.
+    varying = np.arange(6.0)
+    got = scan_sorted(np.stack([constant, varying]), np.stack([y, y]), 2)
+    assert got == brute_force_batch(np.stack([constant, varying]), np.stack([y, y]), 2)
+    assert got[1] == 1
 
 
 def test_scan_threshold_snaps_below_upper_neighbor():
@@ -82,8 +141,10 @@ def test_scan_threshold_snaps_below_upper_neighbor():
     # The exact midpoint of adjacent doubles rounds to one of them; the
     # threshold must never equal the upper value or the split sends both
     # sides left.
-    score, thr, found = scan_sorted(np.array([lo, hi]), np.array([0, 1], dtype=np.int64), 2)
-    assert found
+    score, row, n_left, thr = scan_sorted(
+        np.array([[lo, hi]]), np.array([[0, 1]], dtype=np.int64), 2
+    )
+    assert (row, n_left) == (0, 1)
     assert thr < hi
     assert lo <= thr
 
@@ -201,6 +262,138 @@ def test_fit_tree_validation():
         fit_tree(bad, np.zeros(5, dtype=np.int64), n_classes=2, seed=0)
 
 
+# ---------------------------------------------------------------- reference loop
+#
+# The tree builder as it was before the presort: every node argsorts each
+# candidate column of its rows (stable) and scans it alone, with class counts
+# from a one-hot cumulative sum. The RNG is shared with the library.
+
+
+def _ref_scan(values, labels, n_classes):
+    n = values.shape[0]
+    if n < 2 or values[0] == values[n - 1]:
+        return 0.0, 0.0, False
+    onehot = np.zeros((n, n_classes), dtype=np.int64)
+    onehot[np.arange(n), labels] = 1
+    left_counts = np.cumsum(onehot, axis=0)
+    total = left_counts[-1]
+    left_counts = left_counts[:-1]
+    right_counts = total[np.newaxis, :] - left_counts
+    n_left = np.arange(1, n, dtype=np.float64)
+    n_right = np.float64(n) - n_left
+    score = (
+        np.sum(left_counts * left_counts, axis=1) / n_left
+        + np.sum(right_counts * right_counts, axis=1) / n_right
+    )
+    score = np.where(values[1:] != values[:-1], score, -np.inf)
+    best = int(np.argmax(score))
+    threshold = 0.5 * (values[best] + values[best + 1])
+    if threshold >= values[best + 1]:
+        threshold = values[best]
+    return float(score[best]), float(threshold), True
+
+
+def _ref_fit_tree(X, y, n_classes, params, seed):
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    y = np.ascontiguousarray(y, dtype=np.int64)
+    n_features = X.shape[1]
+    k = params.features_per_split(n_features)
+    rng = np.random.default_rng(seed)
+    feature, threshold, left, right, counts = [], [], [], [], []
+    stack = [(np.arange(X.shape[0], dtype=np.int64), 0, -1, False)]
+    while stack:
+        rows, depth, parent, is_left = stack.pop()
+        node = len(feature)
+        if parent >= 0:
+            if is_left:
+                left[parent] = node
+            else:
+                right[parent] = node
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        node_counts = np.bincount(y[rows], minlength=n_classes)
+        counts.append(node_counts)
+        pure = int(node_counts.max()) == rows.shape[0]
+        too_small = rows.shape[0] < params.min_samples_split
+        too_deep = params.max_depth is not None and depth >= params.max_depth
+        if pure or too_small or too_deep:
+            continue
+        if k < n_features:
+            candidates = np.sort(rng.choice(n_features, size=k, replace=False))
+        else:
+            candidates = np.arange(n_features)
+        best_score, best_feature, best_threshold = -np.inf, -1, 0.0
+        labels = y[rows]
+        for f in candidates:
+            col = X[rows, f]
+            order = np.argsort(col, kind="stable")
+            score, thr, found = _ref_scan(col[order], labels[order], n_classes)
+            if found and score > best_score:
+                best_score, best_feature, best_threshold = score, int(f), thr
+        if best_feature < 0:
+            continue
+        feature[node] = best_feature
+        threshold[node] = best_threshold
+        go_left = X[rows, best_feature] <= best_threshold
+        stack.append((rows[~go_left], depth + 1, node, False))
+        stack.append((rows[go_left], depth + 1, node, True))
+    return DecisionTree(
+        feature=np.asarray(feature, dtype=np.int64),
+        threshold=np.asarray(threshold, dtype=np.float64),
+        left=np.asarray(left, dtype=np.int64),
+        right=np.asarray(right, dtype=np.int64),
+        class_counts=np.asarray(counts, dtype=np.int64),
+    )
+
+
+def _reference_problems():
+    rng = np.random.default_rng(20)
+    yield np.array([[3.0, -1.0]]), np.array([1]), 2  # one row
+    yield np.ones((12, 4)), np.array([0, 1] * 6), 2  # every column constant
+    yield rng.normal(size=(30, 3)), np.zeros(30, dtype=np.int64), 1  # one class
+    signed_zeros = np.where(rng.random((40, 3)) < 0.5, 0.0, -0.0)
+    signed_zeros[::7, 1] = 1.0
+    yield signed_zeros, rng.integers(0, 2, size=40), 2
+    # Long runs of equal values, so that the presort's order within a run
+    # differs from row order.
+    runs = rng.integers(-1, 2, size=(400, 5)) * np.where(rng.random((400, 5)) < 0.5, 1.0, -1.0)
+    yield runs, rng.integers(0, 3, size=400), 3
+    dup = rng.normal(size=(60, 2))
+    yield np.column_stack([dup, dup, 3.0 * dup[:, 0]]), rng.integers(0, 3, size=60), 3
+    for _ in range(6):
+        n = int(rng.integers(2, 160))
+        n_features = int(rng.integers(1, 10))
+        n_classes = int(rng.integers(2, 6))
+        X = rng.normal(size=(n, n_features))
+        ties = rng.random(n_features) < 0.5  # heavy ties in about half the columns
+        X[:, ties] = rng.integers(0, 3, size=(n, int(ties.sum())))
+        yield X, rng.integers(0, n_classes, size=n), n_classes
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        TreeParams(),
+        TreeParams(max_features="all"),
+        TreeParams(max_features=1),
+        TreeParams(max_features=3, max_depth=3),
+        TreeParams(max_features="sqrt", min_samples_split=5),
+        TreeParams(max_features="all", max_depth=1, min_samples_split=3),
+    ],
+    ids=lambda p: f"{p.max_features}-{p.max_depth}-{p.min_samples_split}",
+)
+def test_fit_tree_matches_reference_loop_bit_for_bit(params):
+    for i, (X, y, n_classes) in enumerate(_reference_problems()):
+        for seed in (0, 1, 2):
+            got = fit_tree(X, y, n_classes, params, seed)
+            want = _ref_fit_tree(X, y, n_classes, params, seed)
+            for name in ("feature", "threshold", "left", "right", "class_counts"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (i, seed, name)
+                assert getattr(got, name).dtype == getattr(want, name).dtype
+
+
 # ---------------------------------------------------------------- forest
 
 
@@ -232,6 +425,33 @@ def test_forest_tree_seeding_is_per_tree():
         solo = fit_tree(X[rows], y[rows], n_classes=3, seed=tree_seed)
         assert np.array_equal(solo.feature, forest.trees[i].feature)
         assert np.array_equal(solo.threshold, forest.trees[i].threshold)
+
+
+def test_fit_forest_checks_every_row_before_bagging():
+    # With 50 rows and one tree, a bootstrap misses a given row in about a
+    # third of the seeds; the bad row must be refused for every seed.
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(50, 3))
+    y = rng.integers(0, 2, size=50).astype(np.int64)
+    nan_X = X.copy()
+    nan_X[17, 1] = np.nan
+    inf_X = X.copy()
+    inf_X[3, 0] = -np.inf
+    bad_y = y.copy()
+    bad_y[31] = 2
+    missed = 0
+    for seed in range(40):
+        boot_seed, _ = np.random.SeedSequence([seed, 0]).spawn(2)
+        rows = np.random.default_rng(boot_seed).integers(0, 50, size=50)
+        missed += 17 not in rows
+        for bad_X, labels in ((nan_X, y), (inf_X, y), (X, bad_y), (X, -bad_y)):
+            with pytest.raises(DataError):
+                fit_forest(bad_X, labels, n_classes=2, n_trees=1, seed=seed)
+    assert missed > 0  # some seeds do miss the bad row
+    with pytest.raises(DataError):
+        fit_forest(X, y[:-1], n_classes=2, n_trees=1)
+    with pytest.raises(DataError):
+        fit_forest(X[0], y, n_classes=2, n_trees=1)
 
 
 def test_forest_majority_vote_tie_breaks_low_id():
@@ -345,6 +565,10 @@ def test_load_forest_rejects_corrupt_files(tmp_path):
         mutated(lambda d, t: t["feature"].__setitem__(0, 3)),
         mutated(lambda d, t: t["feature"].__setitem__(0, -2)),
         mutated(lambda d, t: t.update(leaf_counts=[[1, 2], [3]])),
+        mutated(lambda d, t: t["threshold"].__setitem__(0, float("nan"))),
+        mutated(lambda d, t: t["threshold"].__setitem__(0, float("inf"))),
+        mutated(lambda d, t: t["threshold"].__setitem__(-1, float("-inf"))),
+        mutated(lambda d, t: t["leaf_counts"][0].__setitem__(0, -1)),
         [good_doc],
     ):
         bad.write_text(json.dumps(doc))
