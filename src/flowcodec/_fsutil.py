@@ -57,10 +57,10 @@ def frame(magic: bytes, version: int, header: bytes) -> bytes:
     return magic + _FRAME.pack(version, len(header)) + header
 
 
-def read_frame(path, what: str, magic: bytes | None = None, version: int = 0):
+def read_frame(path, what: str, magic: bytes | None = None, version: int = 0, remedy: str = ""):
     """Return (header object, file bytes, offset after the header) of the
     framed container at ``path``; with no ``magic``, the whole file is the
-    JSON object."""
+    JSON object. ``remedy`` ends the message for any other version."""
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
@@ -72,7 +72,7 @@ def read_frame(path, what: str, magic: bytes | None = None, version: int = 0):
             raise ModelFormatError(f"{path} is not a {what}")
         found, header_len = _FRAME.unpack_from(blob, len(magic))
         if found != version:
-            raise ModelFormatError(f"{path}: unsupported {what} version {found}")
+            raise ModelFormatError(f"{path}: unsupported {what} version {found}{remedy}")
         end = start + header_len
         if len(blob) < end:
             raise ModelFormatError(f"{path}: {what} header truncated")

@@ -309,12 +309,18 @@ def cmd_compress(args) -> int:
     _check_columns(ds.schema, model)
 
     latent = autoencoder.encode(model, preprocess.transform(ds.features, state))
-    write_latent(args.output, latent, ds, state.fingerprint(), dtype=cfg.latent_dtype, forced=forced)
+    sections = write_latent(
+        args.output, latent, ds, state.fingerprint(), dtype=cfg.latent_dtype, forced=forced
+    )
     ratio = eval_metrics.compression_ratio(
         model.n_features, model.latent_dim, cfg.metrics.original_width_bytes, cfg.latent_width_bytes
     )
     print(f"compressed {len(ds)} flows to {args.output} "
           f"({model.n_features} -> {model.latent_dim} dims, feature ratio {ratio:g}x)")
+    csv_bytes, fclz_bytes = Path(args.input).stat().st_size, sum(sections.values())
+    print(f"container ratio {csv_bytes / fclz_bytes:.3f}x: {csv_bytes} CSV bytes -> {fclz_bytes} "
+          f"container bytes (header {sections['header']}, latent block {sections['block']}, "
+          f"sidecar {sections['sidecar']})")
     return EXIT_OK
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import struct
 
 import numpy as np
@@ -400,7 +401,15 @@ def test_latent_width_follows_latent_dtype(tmp_path, capsys):
     assert main(["compress", "--config", str(cfg), "--model", str(out / "autoencoder.fcae"),
                  "--preprocessor", str(out / "preprocessor.json"), "--input", str(data),
                  "--output", str(tmp_path / "flows.fclz")]) == 0
-    assert "feature ratio 1.3125x" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "feature ratio 1.3125x" in printed
+    # The realized ratio counts whole files, and the sections sum to the container.
+    csv_bytes, fclz_bytes = data.stat().st_size, (tmp_path / "flows.fclz").stat().st_size
+    assert f"container ratio {csv_bytes / fclz_bytes:.3f}x" in printed
+    assert f"{csv_bytes} CSV bytes -> {fclz_bytes} container bytes" in printed
+    sections = re.search(r"header (\d+), latent block (\d+), sidecar (\d+)", printed)
+    assert int(sections[2]) == 300 * 16 * 8
+    assert sum(map(int, sections.groups())) == fclz_bytes
     assert main(["evaluate", "--config", str(cfg), "--original", str(data),
                  "--model", str(out / "autoencoder.fcae"),
                  "--preprocessor", str(out / "preprocessor.json"),
@@ -433,6 +442,14 @@ def test_corrupt_artifacts_exit_2_without_traceback(tmp_path, fast_config, capsy
                      "--input", str(bad), "--output", str(tmp_path / "recon.csv")])
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
+    # A container of format version 1 is refused with the way out.
+    bad.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+    code = main(["decompress", "--model", model, "--preprocessor", str(preproc),
+                 "--input", str(bad), "--output", str(tmp_path / "recon.csv")])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err
+    assert "version 1" in err and "flowcodec compress" in err
 
     bad_state = tmp_path / "bad_preprocessor.json"
     nan_iqr = [float("nan")] + state["iqr"][1:]
@@ -468,6 +485,30 @@ def test_non_finite_latent_exits_2_without_traceback(tmp_path, fast_config, caps
         err = capsys.readouterr().err
         assert code == 2 and "non-finite" in err and "Traceback" not in err
     assert not (tmp_path / "recon.csv").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_compress_refuses_latents_that_overflow_the_stored_dtype(tmp_path, fast_config, capsys):
+    # A feature of -1e300 encodes to a float64 latent beyond float32's range;
+    # stored, it would be a container that decompress refuses.
+    data, out = tmp_path / "flows.csv", tmp_path / "out"
+    main(["synth", "--config", fast_config, "--output", str(data)])
+    main(["train", "--config", fast_config, "--input", str(data), "--output-dir", str(out)])
+    lines = data.read_text().splitlines()[:51]
+    cells = lines[7].split(",")
+    cells[lines[0].split(",").index("bidirectional_bytes")] = "-1e300"
+    lines[7] = ",".join(cells)
+    small = tmp_path / "small.csv"
+    small.write_text("\n".join(lines) + "\n")
+    latent = tmp_path / "flows.fclz"
+    capsys.readouterr()
+    code = main(["compress", "--config", fast_config, "--model", str(out / "autoencoder.fcae"),
+                 "--preprocessor", str(out / "preprocessor.json"), "--input", str(small),
+                 "--output", str(latent)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error:") and "not finite as float32" in err
+    assert "Traceback" not in err
+    assert not latent.exists()
 
 
 def test_compress_is_deterministic(tmp_path, fast_config):
