@@ -60,6 +60,12 @@ def architecture_dims(
     return [n_features, *hidden, latent, *reversed(hidden), n_features]
 
 
+def activation_plan(n_layers: int) -> list[bool]:
+    """LeakyReLU after every layer, bottleneck included, except the last:
+    the decoder output stays affine."""
+    return [True] * (n_layers - 1) + [False]
+
+
 @dataclass
 class AutoencoderModel:
     """Trained encoder/decoder halves plus the metadata needed to use them."""
@@ -85,13 +91,11 @@ class AutoencoderModel:
     def latent_dim(self) -> int:
         return self.encoder_layers[-1].fan_out
 
-    def _encoder_plan(self) -> list[bool]:
-        # Activation after every encoder layer, bottleneck included.
-        return [True] * len(self.encoder_layers)
-
-    def _decoder_plan(self) -> list[bool]:
-        # Decoder output layer is affine.
-        return [True] * (len(self.decoder_layers) - 1) + [False]
+    def _plans(self) -> tuple[list[bool], list[bool]]:
+        """`activation_plan` split into its encoder and decoder halves."""
+        n = len(self.encoder_layers)
+        plan = activation_plan(n + len(self.decoder_layers))
+        return plan[:n], plan[n:]
 
 
 @dataclass
@@ -203,7 +207,7 @@ def train(
 
     dims = architecture_dims(width, hidden, latent)
     n_encoder = len(hidden) + 1
-    activations = [True] * (len(dims) - 2) + [False]
+    activations = activation_plan(len(dims) - 1)
 
     root = np.random.SeedSequence(config.seed)
     init_ss, shuffle_ss = root.spawn(2)
@@ -275,7 +279,7 @@ def encode(model: AutoencoderModel, matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[1] != model.n_features:
         raise DataError(f"expected Nx{model.n_features} input, got {matrix.shape}")
-    return forward(model.encoder_layers, model._encoder_plan(), matrix, model.slope)
+    return forward(model.encoder_layers, model._plans()[0], matrix, model.slope)
 
 
 def decode(model: AutoencoderModel, latent: np.ndarray) -> np.ndarray:
@@ -283,7 +287,7 @@ def decode(model: AutoencoderModel, latent: np.ndarray) -> np.ndarray:
     latent = np.asarray(latent, dtype=np.float64)
     if latent.ndim != 2 or latent.shape[1] != model.latent_dim:
         raise DataError(f"expected Nx{model.latent_dim} latent input, got {latent.shape}")
-    return forward(model.decoder_layers, model._decoder_plan(), latent, model.slope)
+    return forward(model.decoder_layers, model._plans()[1], latent, model.slope)
 
 
 def reconstruct(model: AutoencoderModel, matrix: np.ndarray) -> np.ndarray:
@@ -316,7 +320,8 @@ def load_model(path: str | Path) -> AutoencoderModel:
     feature_names = tuple(field(header, "feature_names", list[str], path))
     fingerprint = field(header, "preprocessor_fingerprint", str, path)
 
-    if len(dims) < 3 or not 0 < n_encoder < len(dims) or min(dims) < 1:
+    # Both halves hold at least one layer: the decoder's last is the affine output.
+    if len(dims) < 3 or not 0 < n_encoder < len(dims) - 1 or min(dims) < 1:
         raise ModelFormatError(f"{path}: implausible architecture dims {dims}")
     if dims[0] != dims[-1] or dims[0] != len(feature_names):
         raise ModelFormatError(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,18 +33,6 @@ class ClassMetrics:
     @property
     def misclassified(self) -> int:
         return self.support - self.true_positives
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "support": self.support,
-            "true_positives": self.true_positives,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "precision_undefined": self.precision_undefined,
-            "recall_undefined": self.recall_undefined,
-        }
 
 
 @dataclass
@@ -95,7 +83,7 @@ class ClassificationReport:
                 "recall": self.weighted_recall,
                 "f1": self.weighted_f1,
             },
-            "per_class": [m.to_json_dict() for m in self.per_class],
+            "per_class": [asdict(m) for m in self.per_class],
             "confusion": self.confusion.tolist(),
             "zero_support_classes": list(self.zero_support_classes),
             "warnings": list(self.warnings),

@@ -10,9 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_origin, get_type_hints
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .errors import (
     FlowcodecError,
 )
 from .flow_data import (
+    DEFAULT_SIGMA,
     Dataset,
     FeatureSchema,
     SplitIndices,
@@ -37,7 +38,7 @@ from .flow_data import (
     stratified_split,
     write_csv,
 )
-from .forest import TreeParams, fit_forest, predict, save_forest
+from .forest import DEFAULT_N_TREES, TreeParams, fit_forest, predict, save_forest
 from .latent import read_latent, write_latent
 from .neural import TrainConfig
 
@@ -47,30 +48,23 @@ EXIT_DATA = 2
 EXIT_DIVERGENCE = 3
 
 
-@dataclass
-class ForestSettings:
-    n_trees: int = 100
-    max_depth: int | None = None
-    min_samples_split: int = 2
-    max_features: str | int = "sqrt"
+@dataclass(frozen=True)
+class ForestSettings(TreeParams):
+    """The trees' growth limits plus how many trees to grow and whether
+    `classify` and `compare` save them."""
+
+    n_trees: int = DEFAULT_N_TREES
     save_model: bool = False
 
     def __post_init__(self) -> None:
         if self.n_trees < 1:
             raise ConfigError(f"forest.n_trees must be >= 1, got {self.n_trees}")
-        self.tree_params()  # TreeParams range-checks the growth limits
-
-    def tree_params(self) -> TreeParams:
-        return TreeParams(
-            max_depth=self.max_depth,
-            min_samples_split=self.min_samples_split,
-            max_features=self.max_features,
-        )
+        super().__post_init__()
 
 
 @dataclass
 class MetricsSettings:
-    kl_bins: int = 50
+    kl_bins: int = eval_metrics.DEFAULT_KL_BINS
     original_width_bytes: int = 8
 
     def __post_init__(self) -> None:
@@ -82,7 +76,7 @@ class MetricsSettings:
 @dataclass
 class SynthSettings:
     n_per_class: int = 2000
-    sigma: float = 0.45
+    sigma: float = DEFAULT_SIGMA
     class_specs: list | None = None
 
 
@@ -104,6 +98,8 @@ class PipelineConfig:
     synth: SynthSettings = field(default_factory=SynthSettings)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if self.fit_preprocessor_on not in ("train", "all"):
@@ -121,80 +117,59 @@ class PipelineConfig:
         return np.dtype(self.latent_dtype).itemsize
 
 
-def _check_block(cls, block, where: str) -> None:
-    """Reject a non-object block, a key ``cls`` lacks, or a mistyped value."""
+def _build(cls, block, where: str):
+    """Build dataclass ``cls`` from a JSON object, and each field whose type
+    is a dataclass from its nested object. A non-object block, a key ``cls``
+    lacks or a mistyped value is a ConfigError; omitted keys keep the
+    dataclass defaults, and a JSON list becomes a tuple where the field is one."""
     if not isinstance(block, dict):
         raise ConfigError(f"{where} must hold a JSON object")
     hints = get_type_hints(cls)
     unknown = set(block) - set(hints)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    for key, value in block.items():  # a nested block is an object; schema may be a path
-        hint = dict if is_dataclass(hints[key]) else hints[key]
-        if key != "schema" and not conforms(value, hint):
+    for key, value in block.items():
+        if not conforms(value, dict if is_dataclass(hints[key]) else hints[key]):
             raise ConfigError(f"{where}: {key!r} has the wrong type: {value!r}")
-
-
-def _build_block(cls, block: dict, where: str):
-    _check_block(cls, block, where)
+    kwargs = {}
+    for key, hint in hints.items():  # declaration order, so nested blocks build in a fixed order
+        if key in block:
+            value = block[key]
+            if is_dataclass(hint):
+                value = _build(hint, value, key)
+            elif get_origin(hint) is tuple:
+                value = tuple(value)
+            kwargs[key] = value
     try:
-        return cls(**block)
+        return cls(**kwargs)
     except (DataError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad {where} block: {exc}") from exc
+
+
+def _read_json(path: str, what: str):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 def load_config(path: str | None, seed_override: int | None = None) -> PipelineConfig:
     """Parse the pipeline config JSON; None means all defaults.
 
-    The top-level seed cascades into the training block unless that block
-    pins its own; a --seed override beats both.
+    ``schema`` holds the schema block or the path of a JSON file holding
+    it. The top-level seed cascades into the training block unless that
+    block pins its own; a --seed override beats both.
     """
-    doc: dict = {}
-    if path is not None:
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    _check_block(PipelineConfig, doc, f"config {path}")
-
-    seed = doc.get("seed", 42)
+    doc = {} if path is None else _read_json(path, "config")
+    if isinstance(doc, dict) and isinstance(doc.get("schema"), str):
+        doc = {**doc, "schema": _read_json(doc["schema"], "schema file")}
+    cfg = _build(PipelineConfig, doc, f"config {path}")
     if seed_override is not None:
-        seed = seed_override
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-
-    schema_block = doc.get("schema")
-    if schema_block is None:
-        schema_block = {}
-    elif isinstance(schema_block, str):  # a path to a schema file
-        try:
-            schema_block = json.loads(Path(schema_block).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read schema file {schema_block}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"schema file {schema_block} is not valid JSON: {exc}") from exc
-    schema = _build_block(FeatureSchema, schema_block, "schema")
-
-    train_block = dict(doc.get("train", {}))
-    if seed_override is not None or "seed" not in train_block:
-        train_block["seed"] = seed
-    train_cfg = _build_block(TrainConfig, train_block, "train")
-
-    cfg = PipelineConfig(
-        seed=seed,
-        test_fraction=doc.get("test_fraction", 0.2),
-        fit_preprocessor_on=doc.get("fit_preprocessor_on", "train"),
-        hidden=tuple(doc.get("hidden", autoencoder.DEFAULT_HIDDEN)),
-        latent_dim=doc.get("latent_dim", autoencoder.DEFAULT_LATENT),
-        latent_dtype=doc.get("latent_dtype", "float32"),
-        schema=schema,
-        train=train_cfg,
-        forest=_build_block(ForestSettings, dict(doc.get("forest", {})), "forest"),
-        metrics=_build_block(MetricsSettings, dict(doc.get("metrics", {})), "metrics"),
-        synth=_build_block(SynthSettings, dict(doc.get("synth", {})), "synth"),
-    )
+        cfg = replace(cfg, seed=seed_override)
+    if seed_override is not None or "seed" not in doc.get("train", {}):
+        cfg.train = replace(cfg.train, seed=cfg.seed)
     return cfg
 
 
@@ -204,33 +179,42 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_model_and_state(model_path: str, preprocessor_path: str, force: bool):
-    model = autoencoder.load_model(model_path)
-    state = preprocess.PreprocessorState.load(preprocessor_path)
-    forced = False
-    if model.preprocessor_fingerprint != state.fingerprint():
-        if not force:
-            raise FingerprintMismatchError(
-                "model was trained with a different preprocessor "
-                f"({model.preprocessor_fingerprint[:12]}... vs {state.fingerprint()[:12]}...); "
-                "pass --force to override"
-            )
-        forced = True
-        print("warning: preprocessor fingerprint mismatch overridden by --force", file=sys.stderr)
+def _fingerprint_warnings(matches: bool, refusal: str, subject: str, force: bool) -> list[str]:
+    """The fingerprint policy: a mismatch is refused unless --force is given.
+    A forced mismatch warns on stderr and returns the warning for the report."""
+    if matches:
+        return []
+    if not force:
+        raise FingerprintMismatchError(f"{refusal}; pass --force to override")
+    warning = f"{subject} fingerprint mismatch overridden by --force"
+    print(f"warning: {warning}", file=sys.stderr)
+    return [warning]
+
+
+def _open_model(args, schema: FeatureSchema):
+    """Load --model and --preprocessor, and hold them to each other and to
+    the columns of ``schema``. Returns the model, the preprocessor state and
+    the report warnings of a forced fingerprint mismatch."""
+    model = autoencoder.load_model(args.model)
+    state = preprocess.PreprocessorState.load(args.preprocessor)
+    warnings = _fingerprint_warnings(
+        model.preprocessor_fingerprint == state.fingerprint(),
+        "model was trained with a different preprocessor "
+        f"({model.preprocessor_fingerprint[:12]}... vs {state.fingerprint()[:12]}...)",
+        "preprocessor",
+        args.force,
+    )
     if model.feature_names != state.feature_names:
         raise DataError(
             "model and preprocessor disagree on feature columns: "
             f"{model.feature_names} vs {state.feature_names}"
         )
-    return model, state, forced
-
-
-def _check_columns(schema: FeatureSchema, model: autoencoder.AutoencoderModel) -> None:
     if schema.compressible_columns != model.feature_names:
         raise DataError(
             "feature columns do not match the model's training columns: "
             f"{schema.compressible_columns} vs {model.feature_names}"
         )
+    return model, state, warnings
 
 
 def _split(ds: Dataset, cfg: PipelineConfig) -> SplitIndices:
@@ -304,13 +288,12 @@ def cmd_train(args) -> int:
 
 def cmd_compress(args) -> int:
     cfg = load_config(args.config, args.seed)
-    model, state, forced = _load_model_and_state(args.model, args.preprocessor, args.force)
+    model, state, warnings = _open_model(args, cfg.schema)
     ds = load_csv(args.input, cfg.schema)
-    _check_columns(ds.schema, model)
 
     latent = autoencoder.encode(model, preprocess.transform(ds.features, state))
     sections = write_latent(
-        args.output, latent, ds, state.fingerprint(), dtype=cfg.latent_dtype, forced=forced
+        args.output, latent, ds, state.fingerprint(), dtype=cfg.latent_dtype, forced=bool(warnings)
     )
     ratio = eval_metrics.compression_ratio(
         model.n_features, model.latent_dim, cfg.metrics.original_width_bytes, cfg.latent_width_bytes
@@ -325,19 +308,18 @@ def cmd_compress(args) -> int:
 
 
 def cmd_decompress(args) -> int:
-    model, state, _ = _load_model_and_state(args.model, args.preprocessor, args.force)
     lf = read_latent(args.input)
-    if lf.preprocessor_fingerprint != state.fingerprint():
-        if not args.force:
-            raise FingerprintMismatchError(
-                "latent file was produced with a different preprocessor; pass --force to override"
-            )
-        print("warning: latent fingerprint mismatch overridden by --force", file=sys.stderr)
+    model, state, _ = _open_model(args, lf.schema)
+    _fingerprint_warnings(
+        lf.preprocessor_fingerprint == state.fingerprint(),
+        "latent file was produced with a different preprocessor",
+        "latent",
+        args.force,
+    )
     if lf.latent_dim != model.latent_dim:
         raise DataError(
             f"latent width {lf.latent_dim} does not match the model bottleneck {model.latent_dim}"
         )
-    _check_columns(lf.schema, model)
 
     recon = preprocess.inverse_transform(
         autoencoder.decode(model, np.asarray(lf.latent, dtype=np.float64)), state
@@ -350,7 +332,6 @@ def cmd_decompress(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config, args.seed)
     original = load_csv(args.original, cfg.schema)
-    warnings: list[str] = []
 
     if args.reconstructed is not None:
         recon_ds = load_csv(args.reconstructed, cfg.schema)
@@ -360,11 +341,9 @@ def cmd_evaluate(args) -> int:
             )
         recon = recon_ds.features
         latent_dim = cfg.latent_dim
+        warnings = []
     else:
-        model, state, forced = _load_model_and_state(args.model, args.preprocessor, args.force)
-        _check_columns(original.schema, model)
-        if forced:
-            warnings.append("preprocessor fingerprint mismatch overridden by --force")
+        model, state, warnings = _open_model(args, original.schema)
         recon = preprocess.inverse_transform(
             autoencoder.reconstruct(model, preprocess.transform(original.features, state)), state
         )
@@ -397,60 +376,57 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def _encode_features(ds: Dataset, model, state) -> np.ndarray:
-    return autoencoder.encode(model, preprocess.transform(ds.features, state))
-
-
-def _run_arm(
-    ds: Dataset, split: SplitIndices, features: np.ndarray, cfg: PipelineConfig
-) -> tuple[classify_eval.ClassificationReport, "object"]:
+def _classify_arms(args, cfg: PipelineConfig, arms: tuple[str, ...], task: str):
+    """Fit one forest per arm on one split of --input and score it on the
+    held-out rows. An arm is the feature set the forest sees: "original"
+    or "compressed" (the model's latents). Writes each arm's reports and
+    returns the output directory and the reports in arm order."""
+    ds = load_csv(args.input, cfg.schema)
+    if not ds.is_labeled:
+        raise DataError(f"{task} requires a labeled dataset")
+    if len(ds.class_names) < 2:
+        raise DataError(f"{task} requires at least 2 classes")
+    split = _split(ds, cfg)
     train_rows = np.asarray(split.train, dtype=np.int64)
     test_rows = np.asarray(split.test, dtype=np.int64)
-    forest = fit_forest(
-        features[train_rows],
-        ds.label_ids[train_rows],
-        n_classes=len(ds.class_names),
-        n_trees=cfg.forest.n_trees,
-        params=cfg.forest.tree_params(),
-        seed=cfg.seed,
-    )
-    pred = predict(forest, features[test_rows])
-    report = classify_eval.score(ds.label_ids[test_rows], pred, tuple(ds.class_names))
-    return report, forest
 
+    features, warnings = {"original": ds.features}, {"original": []}
+    if "compressed" in arms:
+        model, state, warnings["compressed"] = _open_model(args, ds.schema)
+        features["compressed"] = autoencoder.encode(model, preprocess.transform(ds.features, state))
 
-def _write_arm_outputs(out: Path, arm: str, report, forest, cfg: PipelineConfig) -> None:
-    report.save_json(out / f"classification_report_{arm}.json")
-    report.save_confusion_csv(out / f"confusion_{arm}.csv")
-    report.save_confusion_csv(out / f"confusion_{arm}_normalized.csv", normalized=True)
-    with atomic_write(out / f"classification_{arm}.txt") as fh:
-        fh.write(report.text_table())
-    if cfg.forest.save_model:
-        save_forest(forest, out / f"forest_{arm}.json")
+    fitted = []
+    for arm in arms:
+        x = features[arm]
+        forest = fit_forest(
+            x[train_rows],
+            ds.label_ids[train_rows],
+            n_classes=len(ds.class_names),
+            n_trees=cfg.forest.n_trees,
+            params=cfg.forest,
+            seed=cfg.seed,
+        )
+        report = classify_eval.score(
+            ds.label_ids[test_rows], predict(forest, x[test_rows]), tuple(ds.class_names)
+        )
+        report.warnings.extend(warnings[arm])
+        fitted.append((arm, report, forest))
+
+    out = _out_dir(args)
+    for arm, report, forest in fitted:
+        report.save_json(out / f"classification_report_{arm}.json")
+        report.save_confusion_csv(out / f"confusion_{arm}.csv")
+        report.save_confusion_csv(out / f"confusion_{arm}_normalized.csv", normalized=True)
+        with atomic_write(out / f"classification_{arm}.txt") as fh:
+            fh.write(report.text_table())
+        if cfg.forest.save_model:
+            save_forest(forest, out / f"forest_{arm}.json")
+    return out, [report for _, report, _ in fitted]
 
 
 def cmd_classify(args) -> int:
     cfg = load_config(args.config, args.seed)
-    ds = load_csv(args.input, cfg.schema)
-    if not ds.is_labeled:
-        raise DataError("classification requires a labeled dataset")
-    if len(ds.class_names) < 2:
-        raise DataError("classification requires at least 2 classes")
-    split = _split(ds, cfg)
-
-    if args.features == "compressed":
-        model, state, forced = _load_model_and_state(args.model, args.preprocessor, args.force)
-        _check_columns(ds.schema, model)
-        features = _encode_features(ds, model, state)
-    else:
-        forced = False
-        features = ds.features
-
-    report, forest = _run_arm(ds, split, features, cfg)
-    if forced:
-        report.warnings.append("preprocessor fingerprint mismatch overridden by --force")
-    out = _out_dir(args)
-    _write_arm_outputs(out, args.features, report, forest, cfg)
+    out, (report,) = _classify_arms(args, cfg, (args.features,), "classification")
     print(f"{args.features} features: accuracy {report.accuracy:.6f}, "
           f"macro f1 {report.macro_f1:.6f}, "
           f"{report.total_misclassified}/{report.total} misclassified")
@@ -460,29 +436,8 @@ def cmd_classify(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = load_config(args.config, args.seed)
-    ds = load_csv(args.input, cfg.schema)
-    if not ds.is_labeled:
-        raise DataError("comparison requires a labeled dataset")
-    if len(ds.class_names) < 2:
-        raise DataError("comparison requires at least 2 classes")
-    split = _split(ds, cfg)
-
-    model, state, forced = _load_model_and_state(args.model, args.preprocessor, args.force)
-    _check_columns(ds.schema, model)
-
-    original_report, original_forest = _run_arm(ds, split, ds.features, cfg)
-    compressed_report, compressed_forest = _run_arm(
-        ds, split, _encode_features(ds, model, state), cfg
-    )
-    if forced:
-        compressed_report.warnings.append(
-            "preprocessor fingerprint mismatch overridden by --force"
-        )
-    comparison = classify_eval.compare(original_report, compressed_report)
-
-    out = _out_dir(args)
-    _write_arm_outputs(out, "original", original_report, original_forest, cfg)
-    _write_arm_outputs(out, "compressed", compressed_report, compressed_forest, cfg)
+    out, reports = _classify_arms(args, cfg, ("original", "compressed"), "comparison")
+    comparison = classify_eval.compare(*reports)
     comparison.save_json(out / "comparison_report.json")
     with atomic_write(out / "comparison.txt") as fh:
         fh.write(comparison.text_table())

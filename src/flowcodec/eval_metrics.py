@@ -226,7 +226,6 @@ def build_report(
     feature_names: tuple[str, ...],
     latent_dim: int,
     kl_bins: int = DEFAULT_KL_BINS,
-    kl_log_base: float | None = None,
     original_width_bytes: int = 8,
     latent_width_bytes: int = 4,
     warnings: list[str] | None = None,
@@ -248,7 +247,7 @@ def build_report(
         v, excl = median_percent_error(y[:, j], yhat[:, j])
         med.append(v)
         med_excl.append(excl)
-        kls.append(kl_divergence(y[:, j], yhat[:, j], bins=kl_bins, log_base=kl_log_base))
+        kls.append(kl_divergence(y[:, j], yhat[:, j], bins=kl_bins))
 
     ratio = compression_ratio(n_features, latent_dim, original_width_bytes, latent_width_bytes)
     return ReconstructionReport(

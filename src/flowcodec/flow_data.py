@@ -46,6 +46,9 @@ DEFAULT_IDENTITY_COLUMNS = (
 
 DEFAULT_LABEL_COLUMN = "application_name"
 
+# Log-space spread of each default synthetic class around its medians.
+DEFAULT_SIGMA = 0.45
+
 
 @dataclass(frozen=True)
 class FeatureSchema:
@@ -374,7 +377,7 @@ _DEFAULT_PROFILES: dict[str, dict[str, float]] = {
 }
 
 
-def default_class_specs(sigma: float = 0.45) -> list[SyntheticClassSpec]:
+def default_class_specs(sigma: float = DEFAULT_SIGMA) -> list[SyntheticClassSpec]:
     return [SyntheticClassSpec.from_medians(name, med, sigma) for name, med in _DEFAULT_PROFILES.items()]
 
 

@@ -8,6 +8,7 @@ earliest boundary.
 """
 
 from .model import (
+    DEFAULT_N_TREES,
     DecisionTree,
     ForestModel,
     TreeParams,
@@ -21,6 +22,7 @@ from .model import (
 from .splitter import backend_name
 
 __all__ = [
+    "DEFAULT_N_TREES",
     "DecisionTree",
     "ForestModel",
     "TreeParams",

@@ -8,7 +8,7 @@ vectorized traversal both rely on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -62,11 +62,8 @@ class TreeParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TreeParams":
-        return cls(
-            max_depth=d.get("max_depth"),
-            min_samples_split=d.get("min_samples_split", 2),
-            max_features=d.get("max_features", "sqrt"),
-        )
+        """Omitted keys keep their defaults; keys that are not fields are ignored."""
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 @dataclass

@@ -365,6 +365,7 @@ def test_load_rejects_corrupt_files(tmp_path, reheader):
         lambda h: {**h, "dims": "21,16,21"},
         lambda h: {**h, "dims": [21, 0, 21]},
         lambda h: {**h, "n_encoder_layers": 1.5},
+        lambda h: {**h, "n_encoder_layers": len(h["dims"]) - 1},  # no decoder layer
         lambda h: {**h, "slope": "0.2"},
         lambda h: {**h, "feature_names": None},
         lambda h: [h],

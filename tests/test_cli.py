@@ -1,7 +1,9 @@
 import csv
+import dataclasses
 import json
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +152,36 @@ def test_load_config_inline_schema(tmp_path):
                                         "label_column": None}}))
     with pytest.raises(ConfigError):
         load_config(str(p))
+
+
+def test_load_config_schema_file(tmp_path):
+    names = [f"m{i}" for i in range(21)]
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps({"identity_columns": ["a"], "compressible_columns": names,
+                                  "label_column": None}))
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"schema": str(schema)}))
+    cfg = load_config(str(p))
+    assert cfg.schema.identity_columns == ("a",)
+    assert cfg.schema.compressible_columns == tuple(names)
+    assert cfg.schema.label_column is None
+
+    p.write_text(json.dumps({"schema": str(tmp_path / "missing.json")}))
+    with pytest.raises(ConfigError, match="cannot read schema file"):
+        load_config(str(p))
+    schema.write_text("{not json")
+    p.write_text(json.dumps({"schema": str(schema)}))
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        load_config(str(p))
+
+
+def test_readme_config_block_lists_every_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1]
+    block = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
+    defaults = json.loads(json.dumps(dataclasses.asdict(load_config(None))))
+    del block["schema"], defaults["schema"]  # the README abbreviates the column lists
+    assert block == defaults
 
 
 # ---------------------------------------------------------------- exit codes
@@ -389,6 +421,72 @@ def test_fingerprint_mismatch_and_force(tmp_path, fast_config, capsys):
                  "--output-dir", str(eval_dir), "--force"]) == 0
     report = json.loads((eval_dir / "reconstruction_report.json").read_text())
     assert any("mismatch" in w for w in report["warnings"])
+
+
+@pytest.fixture
+def two_preprocessors(tmp_path, fast_config):
+    """A flow CSV, model and preprocessor "a", and preprocessor "b" of another seed."""
+    data = tmp_path / "flows.csv"
+    main(["synth", "--config", fast_config, "--output", str(data)])
+    for name, seed in (("a", "7"), ("b", "8")):
+        main(["train", "--config", fast_config, "--seed", seed, "--input", str(data),
+              "--output-dir", str(tmp_path / name)])
+    return (data, str(tmp_path / "a" / "autoencoder.fcae"),
+            str(tmp_path / "a" / "preprocessor.json"), str(tmp_path / "b" / "preprocessor.json"))
+
+
+def test_decompress_refuses_a_container_of_another_preprocessor(
+    tmp_path, fast_config, capsys, two_preprocessors
+):
+    data, model, preproc_a, preproc_b = two_preprocessors
+    latent = tmp_path / "b.fclz"
+    assert main(["compress", "--config", fast_config, "--model", model,
+                 "--preprocessor", preproc_b, "--input", str(data),
+                 "--output", str(latent), "--force"]) == 0
+    capsys.readouterr()
+
+    # The model and preprocessor agree; the container was written under "b".
+    recon = tmp_path / "recon.csv"
+    args = ["decompress", "--model", model, "--preprocessor", preproc_a,
+            "--input", str(latent), "--output", str(recon)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: latent file was produced with a different preprocessor")
+    assert not recon.exists()
+
+    assert main(args + ["--force"]) == 0
+    assert capsys.readouterr().err == "warning: latent fingerprint mismatch overridden by --force\n"
+    assert len(read_rows(recon)) == 300
+
+
+def test_forced_mismatch_warns_in_the_compressed_report_only(
+    tmp_path, fast_config, capsys, two_preprocessors
+):
+    data, model, _, preproc_b = two_preprocessors
+    pair = ["--model", model, "--preprocessor", preproc_b]
+    warning = "preprocessor fingerprint mismatch overridden by --force"
+
+    def warnings(directory, arm):
+        doc = json.loads((directory / f"classification_report_{arm}.json").read_text())
+        return doc["warnings"]
+
+    cls_dir, cmp_dir = tmp_path / "cls", tmp_path / "cmp"
+    classify = ["classify", "--config", fast_config, "--input", str(data),
+                "--features", "compressed", *pair, "--output-dir", str(cls_dir)]
+    compare = ["compare", "--config", fast_config, "--input", str(data), *pair,
+               "--output-dir", str(cmp_dir)]
+    capsys.readouterr()
+    for argv, directory in ((classify, cls_dir), (compare, cmp_dir)):
+        assert main(argv) == 2
+        assert "pass --force to override" in capsys.readouterr().err
+        assert not directory.exists()
+        assert main(argv + ["--force"]) == 0
+        assert capsys.readouterr().err == f"warning: {warning}\n"
+        assert warnings(directory, "compressed") == [warning]
+    assert warnings(cmp_dir, "original") == []
+    comparison = json.loads((cmp_dir / "comparison_report.json").read_text())
+    assert comparison["compressed"]["warnings"] == [warning]
+    assert comparison["original"]["warnings"] == []
 
 
 def test_latent_width_follows_latent_dtype(tmp_path, capsys):
