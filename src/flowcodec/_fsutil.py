@@ -1,16 +1,18 @@
 """How an artifact reaches and leaves the disk.
 
 Every file the package writes goes through `atomic_write`, so a reader sees
-the old file or the complete new one, never a torn one. Every artifact it
-reads back goes through `read_frame` or `read_json` and then `field`, which
-raise ModelFormatError for any defect. The binary containers (FCAE models,
-FCLZ latents) share one frame: a 4-byte magic, a little-endian u32 version
-and u32 header length, then a UTF-8 JSON header object.
+the old file or the complete new one, never a torn one; each CSV report goes
+through `write_table` on top of it. Every artifact it reads back goes through
+`read_frame` or `read_json` and then `field`, which raise ModelFormatError
+for any defect. The binary containers (FCAE models, FCLZ latents) share one
+frame: a 4-byte magic, a little-endian u32 version and u32 header length,
+then a UTF-8 JSON header object.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import json
 import os
 import struct
@@ -50,6 +52,23 @@ def write_json(path: str | Path, doc, **dump_options) -> None:
     """Atomically write ``doc`` as JSON plus a trailing newline."""
     with atomic_write(path) as fh:
         fh.write(json.dumps(doc, **dump_options) + "\n")
+
+
+def write_table(path: str | Path, header, rows) -> None:
+    """Atomically write a CSV report: ``header``, then ``rows``. csv.writer
+    writes a float as its repr and None as an empty cell, which is how a
+    report says a value is undefined."""
+    with atomic_write(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def undefined_as_none(matrix) -> list[list]:
+    """``matrix`` as nested lists of Python numbers with each NaN as None,
+    which `write_table` writes as an empty cell and JSON as null."""
+    m = np.asarray(matrix)
+    return np.where(np.isnan(m), None, m).tolist()
 
 
 def frame(magic: bytes, version: int, header: bytes) -> bytes:

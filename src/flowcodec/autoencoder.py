@@ -23,15 +23,14 @@ Each epoch writes one row of ``training_history.csv``:
 
 from __future__ import annotations
 
-import csv
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ._fsutil import atomic_write, field, frame, read_frame
+from ._fsutil import atomic_write, field, frame, read_frame, write_table
 from .errors import DataError, DivergenceError, ModelFormatError
 from .neural import (
     DenseLayer,
@@ -68,34 +67,30 @@ def activation_plan(n_layers: int) -> list[bool]:
 
 @dataclass
 class AutoencoderModel:
-    """Trained encoder/decoder halves plus the metadata needed to use them."""
+    """The trained layer stack plus the metadata needed to use it.
 
-    encoder_layers: list[DenseLayer]
-    decoder_layers: list[DenseLayer]
+    ``layers`` and ``n_encoder`` mirror the ``.fcae`` header's ``dims`` and
+    ``n_encoder_layers``: the first ``n_encoder`` layers are the encoder,
+    ending at the bottleneck, and the rest are the decoder.
+    """
+
+    layers: list[DenseLayer]
+    n_encoder: int
     slope: float
     feature_names: tuple[str, ...]
     preprocessor_fingerprint: str
 
     @property
     def dims(self) -> list[int]:
-        d = [self.encoder_layers[0].fan_in]
-        for layer in self.encoder_layers + self.decoder_layers:
-            d.append(layer.fan_out)
-        return d
+        return [self.layers[0].fan_in] + [layer.fan_out for layer in self.layers]
 
     @property
     def n_features(self) -> int:
-        return self.encoder_layers[0].fan_in
+        return self.layers[0].fan_in
 
     @property
     def latent_dim(self) -> int:
-        return self.encoder_layers[-1].fan_out
-
-    def _plans(self) -> tuple[list[bool], list[bool]]:
-        """`activation_plan` split into its encoder and decoder halves."""
-        n = len(self.encoder_layers)
-        plan = activation_plan(n + len(self.decoder_layers))
-        return plan[:n], plan[n:]
+        return self.layers[self.n_encoder - 1].fan_out
 
 
 @dataclass
@@ -117,13 +112,11 @@ class TrainingHistory:
         return min(e.test_loss for e in self.epochs)
 
     def to_csv(self, path: str | Path) -> None:
-        with atomic_write(path) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "train_loss", "test_loss", "learning_rate", "seconds"])
-            for e in self.epochs:
-                writer.writerow(
-                    [e.epoch, repr(e.train_loss), repr(e.test_loss), repr(e.learning_rate), repr(e.seconds)]
-                )
+        write_table(
+            path,
+            ["epoch", "train_loss", "test_loss", "learning_rate", "seconds"],
+            map(astuple, self.epochs),
+        )
 
 
 class PlateauScheduler:
@@ -265,8 +258,8 @@ def train(
 
     assert best_weights is not None
     model = AutoencoderModel(
-        encoder_layers=best_weights[:n_encoder],
-        decoder_layers=best_weights[n_encoder:],
+        layers=best_weights,
+        n_encoder=n_encoder,
         slope=slope,
         feature_names=tuple(feature_names),
         preprocessor_fingerprint=preprocessor_fingerprint,
@@ -279,7 +272,8 @@ def encode(model: AutoencoderModel, matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[1] != model.n_features:
         raise DataError(f"expected Nx{model.n_features} input, got {matrix.shape}")
-    return forward(model.encoder_layers, model._plans()[0], matrix, model.slope)
+    n = model.n_encoder
+    return forward(model.layers[:n], activation_plan(len(model.layers))[:n], matrix, model.slope)
 
 
 def decode(model: AutoencoderModel, latent: np.ndarray) -> np.ndarray:
@@ -287,7 +281,8 @@ def decode(model: AutoencoderModel, latent: np.ndarray) -> np.ndarray:
     latent = np.asarray(latent, dtype=np.float64)
     if latent.ndim != 2 or latent.shape[1] != model.latent_dim:
         raise DataError(f"expected Nx{model.latent_dim} latent input, got {latent.shape}")
-    return forward(model.decoder_layers, model._plans()[1], latent, model.slope)
+    n = model.n_encoder
+    return forward(model.layers[n:], activation_plan(len(model.layers))[n:], latent, model.slope)
 
 
 def reconstruct(model: AutoencoderModel, matrix: np.ndarray) -> np.ndarray:
@@ -298,7 +293,7 @@ def save_model(model: AutoencoderModel, path: str | Path) -> None:
     """Write the versioned binary container; atomic (temp file + rename)."""
     header = {
         "dims": model.dims,
-        "n_encoder_layers": len(model.encoder_layers),
+        "n_encoder_layers": model.n_encoder,
         "slope": model.slope,
         "feature_names": list(model.feature_names),
         "preprocessor_fingerprint": model.preprocessor_fingerprint,
@@ -306,7 +301,7 @@ def save_model(model: AutoencoderModel, path: str | Path) -> None:
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     with atomic_write(path, "wb") as fh:
         fh.write(frame(MODEL_MAGIC, MODEL_FORMAT_VERSION, header_bytes))
-        for layer in model.encoder_layers + model.decoder_layers:
+        for layer in model.layers:
             fh.write(np.ascontiguousarray(layer.W, dtype="<f8").tobytes())
             fh.write(np.ascontiguousarray(layer.b, dtype="<f8").tobytes())
 
@@ -347,8 +342,8 @@ def load_model(path: str | Path) -> AutoencoderModel:
         offset += fan_out * 8
         layers.append(DenseLayer(W=W.astype(np.float64), b=b.astype(np.float64)))
     return AutoencoderModel(
-        encoder_layers=layers[:n_encoder],
-        decoder_layers=layers[n_encoder:],
+        layers=layers,
+        n_encoder=n_encoder,
         slope=slope,
         feature_names=feature_names,
         preprocessor_fingerprint=fingerprint,

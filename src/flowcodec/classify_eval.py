@@ -8,14 +8,12 @@ JSON, and zero-support classes are left out of the macro averages.
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ._fsutil import atomic_write, write_json
+from ._fsutil import undefined_as_none, write_json, write_table
 from .errors import DataError
 
 
@@ -93,16 +91,12 @@ class ClassificationReport:
         write_json(path, self.to_json_dict(), indent=2, sort_keys=True)
 
     def save_confusion_csv(self, path: str | Path, normalized: bool = False) -> None:
-        matrix = self.confusion_normalized() if normalized else self.confusion
-        with atomic_write(path) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["true\\predicted", *self.class_names])
-            for i, name in enumerate(self.class_names):
-                if normalized:
-                    row = ["" if math.isnan(v) else repr(float(v)) for v in matrix[i]]
-                else:
-                    row = [int(v) for v in matrix[i]]
-                writer.writerow([name, *row])
+        matrix = undefined_as_none(self.confusion_normalized() if normalized else self.confusion)
+        write_table(
+            path,
+            ["true\\predicted", *self.class_names],
+            ([name, *row] for name, row in zip(self.class_names, matrix)),
+        )
 
     def text_table(self) -> str:
         width = max(len(n) for n in self.class_names + ("class",))

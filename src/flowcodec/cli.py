@@ -39,7 +39,7 @@ from .flow_data import (
     write_csv,
 )
 from .forest import DEFAULT_N_TREES, TreeParams, fit_forest, predict, save_forest
-from .latent import read_latent, write_latent
+from .latent import DEFAULT_LATENT_DTYPE, read_latent, write_latent
 from .neural import TrainConfig
 
 EXIT_OK = 0
@@ -65,7 +65,7 @@ class ForestSettings(TreeParams):
 @dataclass
 class MetricsSettings:
     kl_bins: int = eval_metrics.DEFAULT_KL_BINS
-    original_width_bytes: int = 8
+    original_width_bytes: int = eval_metrics.DEFAULT_ORIGINAL_WIDTH_BYTES
 
     def __post_init__(self) -> None:
         for name in ("kl_bins", "original_width_bytes"):
@@ -90,7 +90,7 @@ class PipelineConfig:
     fit_preprocessor_on: str = "train"
     hidden: tuple[int, ...] = autoencoder.DEFAULT_HIDDEN
     latent_dim: int = autoencoder.DEFAULT_LATENT
-    latent_dtype: str = "float32"
+    latent_dtype: str = DEFAULT_LATENT_DTYPE
     schema: FeatureSchema = field(default_factory=FeatureSchema)
     train: TrainConfig = field(default_factory=TrainConfig)
     forest: ForestSettings = field(default_factory=ForestSettings)

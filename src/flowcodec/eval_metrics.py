@@ -7,18 +7,27 @@ inverse preprocessing, so magnitudes are interpretable.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ._fsutil import atomic_write, write_json
+from ._fsutil import undefined_as_none, write_json, write_table
 from .errors import DataError
 
 DEFAULT_KL_BINS = 50
+DEFAULT_ORIGINAL_WIDTH_BYTES = 8
 KL_EPSILON = 1e-10
+
+
+def _pair(original, reconstructed) -> tuple[np.ndarray, np.ndarray]:
+    """Both matrices as float64 arrays, which must have the same shape."""
+    y = np.asarray(original, dtype=np.float64)
+    yhat = np.asarray(reconstructed, dtype=np.float64)
+    if y.shape != yhat.shape:
+        raise DataError(f"shape mismatch: {y.shape} vs {yhat.shape}")
+    return y, yhat
 
 
 @dataclass
@@ -35,10 +44,7 @@ def global_errors(original: np.ndarray, reconstructed: np.ndarray) -> GlobalErro
     Zero-denominator entries are excluded from MAPE and counted, never
     silently dropped.
     """
-    y = np.asarray(original, dtype=np.float64)
-    yhat = np.asarray(reconstructed, dtype=np.float64)
-    if y.shape != yhat.shape:
-        raise DataError(f"shape mismatch: {y.shape} vs {yhat.shape}")
+    y, yhat = _pair(original, reconstructed)
     diff = y - yhat
     mse = float(np.mean(diff * diff))
     rmse = float(np.sqrt(mse))
@@ -57,10 +63,7 @@ def median_percent_error(original: np.ndarray, reconstructed: np.ndarray) -> tup
     Returns (value, excluded_zero_count); the value is None when every row
     has y == 0 (undefined metric, not an error).
     """
-    y = np.asarray(original, dtype=np.float64)
-    yhat = np.asarray(reconstructed, dtype=np.float64)
-    if y.shape != yhat.shape:
-        raise DataError(f"length mismatch: {y.shape} vs {yhat.shape}")
+    y, yhat = _pair(original, reconstructed)
     nonzero = y != 0.0
     excluded = int(y.size - np.count_nonzero(nonzero))
     if not np.any(nonzero):
@@ -110,10 +113,7 @@ def correlation_difference(original: np.ndarray, reconstructed: np.ndarray) -> n
     Zero-variance columns on either side yield NaN in the affected rows and
     columns rather than raising.
     """
-    y = np.asarray(original, dtype=np.float64)
-    yhat = np.asarray(reconstructed, dtype=np.float64)
-    if y.shape != yhat.shape:
-        raise DataError(f"shape mismatch: {y.shape} vs {yhat.shape}")
+    y, yhat = _pair(original, reconstructed)
     if y.ndim != 2 or y.shape[0] < 3:
         raise DataError("need an NxD matrix with N >= 3")
     return _pearson(y) - _pearson(yhat)
@@ -161,9 +161,6 @@ class ReconstructionReport:
     warnings: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        corr = [
-            [None if math.isnan(v) else v for v in row] for row in self.correlation_difference.tolist()
-        ]
         return {
             "n_rows": self.n_rows,
             "feature_names": list(self.feature_names),
@@ -182,7 +179,7 @@ class ReconstructionReport:
                 }
                 for i, name in enumerate(self.feature_names)
             ],
-            "correlation_difference": corr,
+            "correlation_difference": undefined_as_none(self.correlation_difference),
             "compression": {
                 "ratio": self.compression_ratio,
                 "bytes_original": self.bytes_original,
@@ -195,29 +192,19 @@ class ReconstructionReport:
         write_json(path, self.to_json_dict(), indent=2, sort_keys=True)
 
     def save_feature_csv(self, path: str | Path) -> None:
-        with atomic_write(path) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["feature", "median_percent_error", "excluded_zero_rows", "kl_divergence"])
-            for i, name in enumerate(self.feature_names):
-                mpe = self.median_percent_error[i]
-                writer.writerow(
-                    [
-                        name,
-                        "" if mpe is None else repr(mpe),
-                        self.median_pe_excluded_zeros[i],
-                        repr(self.kl_divergence[i]),
-                    ]
-                )
+        write_table(
+            path,
+            ["feature", "median_percent_error", "excluded_zero_rows", "kl_divergence"],
+            zip(self.feature_names, self.median_percent_error, self.median_pe_excluded_zeros, self.kl_divergence),
+        )
 
     def save_correlation_csv(self, path: str | Path) -> None:
-        with atomic_write(path) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["feature", *self.feature_names])
-            for i, name in enumerate(self.feature_names):
-                row = [
-                    "" if math.isnan(v) else repr(float(v)) for v in self.correlation_difference[i]
-                ]
-                writer.writerow([name, *row])
+        corr = undefined_as_none(self.correlation_difference)
+        write_table(
+            path,
+            ["feature", *self.feature_names],
+            ([name, *row] for name, row in zip(self.feature_names, corr)),
+        )
 
 
 def build_report(
@@ -225,16 +212,13 @@ def build_report(
     reconstructed: np.ndarray,
     feature_names: tuple[str, ...],
     latent_dim: int,
+    latent_width_bytes: int,
     kl_bins: int = DEFAULT_KL_BINS,
-    original_width_bytes: int = 8,
-    latent_width_bytes: int = 4,
+    original_width_bytes: int = DEFAULT_ORIGINAL_WIDTH_BYTES,
     warnings: list[str] | None = None,
 ) -> ReconstructionReport:
     """Assemble the full reconstruction report from original-unit matrices."""
-    y = np.asarray(original, dtype=np.float64)
-    yhat = np.asarray(reconstructed, dtype=np.float64)
-    if y.shape != yhat.shape:
-        raise DataError(f"shape mismatch: {y.shape} vs {yhat.shape}")
+    y, yhat = _pair(original, reconstructed)
     n_features = y.shape[1]
     if len(feature_names) != n_features:
         raise DataError("feature_names length does not match matrix width")
@@ -273,13 +257,10 @@ def save_row_percent_errors(
 ) -> None:
     """Raw per-row dump: mean |percent error| over nonzero-denominator features,
     empty for a row with none."""
-    y = np.asarray(original, dtype=np.float64)
-    yhat = np.asarray(reconstructed, dtype=np.float64)
-    if y.shape != yhat.shape:
-        raise DataError(f"shape mismatch: {y.shape} vs {yhat.shape}")
+    y, yhat = _pair(original, reconstructed)
     nonzero = y != 0.0
     excluded = y.shape[1] - np.count_nonzero(nonzero, axis=1)
-    values = np.full(y.shape[0], "", dtype=object)
+    values = np.full(y.shape[0], None, dtype=object)
     # One row-wise mean per zero pattern. Each row of a gathered block is
     # contiguous, so it sums in the same order as a mean over that row alone.
     # Bit-packed rows sort several times faster than boolean ones.
@@ -292,8 +273,9 @@ def save_row_percent_errors(
         if mask.any():
             block = np.ix_(rows, np.flatnonzero(mask))
             means = 100.0 * np.mean(np.abs((y[block] - yhat[block]) / y[block]), axis=1)
-            values[rows] = list(map(repr, means.tolist()))
-    with atomic_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "mean_abs_percent_error", "excluded_zero_features"])
-        writer.writerows(zip(range(y.shape[0]), values.tolist(), excluded.tolist()))
+            values[rows] = means
+    write_table(
+        path,
+        ["row", "mean_abs_percent_error", "excluded_zero_features"],
+        zip(range(y.shape[0]), values.tolist(), excluded.tolist()),
+    )

@@ -70,6 +70,10 @@ class FeatureSchema:
                 f"schema must name exactly {N_FEATURES} compressible columns, "
                 f"got {len(self.compressible_columns)}"
             )
+        if "" in self.all_columns:
+            # "" would match a blank CSV header cell, and the .fclz header
+            # uses it to mean "no label column".
+            raise SchemaError("schema column names must not be empty")
         repeated = sorted({c for c in self.all_columns if self.all_columns.count(c) > 1})
         if repeated:
             # Dataset keys its identity columns by name, so a name has one place.

@@ -38,6 +38,7 @@ from .flow_data import Dataset, FeatureSchema
 LATENT_MAGIC = b"FCLZ"
 LATENT_FORMAT_VERSION = 2
 _DTYPES = {"float32": np.float32, "float64": np.float64}
+DEFAULT_LATENT_DTYPE = "float32"
 _STREAM = struct.Struct("<QQ")  # raw and packed byte lengths of one sidecar stream
 # On 25k synthetic flows (one Xeon core, zlib 1.2.13), level 1 deflates the
 # sidecar to 0.62 MB in 0.03 s; level 6 gets 0.52 MB in 0.12 s and level 9
@@ -72,7 +73,7 @@ def write_latent(
     latent: np.ndarray,
     dataset: Dataset,
     preprocessor_fingerprint: str,
-    dtype: str = "float32",
+    dtype: str = DEFAULT_LATENT_DTYPE,
     forced: bool = False,
 ) -> dict[str, int]:
     """Serialize ``latent`` and the pass-through columns of ``dataset``

@@ -119,13 +119,13 @@ def test_train_deterministic():
     xtr, xte = tiny_data(seed=5)
     m1, h1 = train(xtr, xte, tiny_config())
     m2, h2 = train(xtr, xte, tiny_config())
-    for a, b in zip(m1.encoder_layers + m1.decoder_layers, m2.encoder_layers + m2.decoder_layers):
+    for a, b in zip(m1.layers, m2.layers):
         assert np.array_equal(a.W, b.W)
         assert np.array_equal(a.b, b.b)
     assert [e.test_loss for e in h1.epochs] == [e.test_loss for e in h2.epochs]
 
     m3, _ = train(xtr, xte, tiny_config(seed=43))
-    assert not np.array_equal(m1.encoder_layers[0].W, m3.encoder_layers[0].W)
+    assert not np.array_equal(m1.layers[0].W, m3.layers[0].W)
 
 
 def test_train_divergence_raises_with_epoch():
@@ -274,7 +274,7 @@ def test_train_matches_reference_loop_bit_for_bit(decoupled):
 
     assert 0 < clipped < 12
     assert len(hist.epochs) == len(epochs) == 4
-    for got, want in zip(model.encoder_layers + model.decoder_layers, best):
+    for got, want in zip(model.layers, best):
         assert got.W.tobytes() == want[0].tobytes()
         assert got.b.tobytes() == want[1].tobytes()
     assert [e.test_loss for e in hist.epochs] == [e[0] for e in epochs]
@@ -323,10 +323,8 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.slope == model.slope
     assert loaded.feature_names == model.feature_names
     assert loaded.preprocessor_fingerprint == "abc123"
-    for a, b in zip(
-        model.encoder_layers + model.decoder_layers,
-        loaded.encoder_layers + loaded.decoder_layers,
-    ):
+    assert loaded.n_encoder == model.n_encoder
+    for a, b in zip(model.layers, loaded.layers):
         assert np.array_equal(a.W, b.W)
         assert np.array_equal(a.b, b.b)
     assert np.array_equal(encode(loaded, xte), encode(model, xte))

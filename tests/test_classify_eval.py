@@ -107,6 +107,18 @@ def test_confusion_normalized_rows():
     assert norm[0].tolist() == [0.5, 0.5]
 
 
+def test_normalized_confusion_csv_leaves_a_zero_support_row_empty(tmp_path):
+    r = score(np.array([0, 0, 0, 2, 2]), np.array([0, 1, 1, 2, 0]), NAMES3)
+    path = tmp_path / "confusion_normalized.csv"
+    r.save_confusion_csv(path, normalized=True)
+    assert path.read_bytes() == (
+        b"true\\predicted,bulk,video,web\r\n"
+        b"bulk,0.3333333333333333,0.6666666666666666,0.0\r\n"
+        b"video,,,\r\n"
+        b"web,0.5,0.0,0.5\r\n"
+    )
+
+
 def test_misclassification_ranking():
     y = np.array([0] * 10 + [1] * 10 + [2] * 10, dtype=np.int64)
     p = y.copy()

@@ -121,6 +121,7 @@ def test_load_config_rejects_bad_input(tmp_path):
         {"schema": {"identity_columns": "src_ip"}},
         {"schema": {"label_column": 5}},
         {"schema": {"identity_column": ["src_ip"]}},
+        {"schema": {"label_column": ""}},
     ):
         p.write_text(json.dumps(doc))
         with pytest.raises(ConfigError):

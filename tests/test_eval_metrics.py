@@ -199,7 +199,7 @@ def test_build_report_structure_and_json(tmp_path):
     y = rng.lognormal(2.0, 1.0, size=(400, 4))
     yhat = y * rng.uniform(0.98, 1.02, size=y.shape)
     names = ("a", "b", "c", "d")
-    report = build_report(y, yhat, names, latent_dim=2, warnings=["note"])
+    report = build_report(y, yhat, names, latent_dim=2, latent_width_bytes=4, warnings=["note"])
 
     assert report.rmse == pytest.approx(math.sqrt(report.mse), rel=1e-12)
     assert len(report.kl_divergence) == 4
@@ -227,7 +227,7 @@ def test_build_report_json_replaces_nan_with_null(tmp_path):
     y = np.random.default_rng(12).normal(size=(50, 3))
     yhat = y.copy()
     yhat[:, 2] = 5.0
-    report = build_report(y, yhat, ("a", "b", "c"), latent_dim=1)
+    report = build_report(y, yhat, ("a", "b", "c"), latent_dim=1, latent_width_bytes=4)
     payload = json.dumps(report.to_json_dict(), allow_nan=False)
     assert "NaN" not in payload
 

@@ -78,6 +78,19 @@ def test_schema_rejects_duplicates_and_overlap():
         FeatureSchema(label_column=DEFAULT_COMPRESSIBLE_COLUMNS[0])
 
 
+def test_schema_rejects_empty_names():
+    # An empty label name matched a blank CSV header cell, and the .fclz
+    # header writes "" for "no label column": compress then wrote a labeled
+    # container that decompress refused.
+    for kwargs in (
+        {"label_column": ""},
+        {"identity_columns": ("src_ip", "")},
+        {"compressible_columns": ("",) + DEFAULT_COMPRESSIBLE_COLUMNS[1:]},
+    ):
+        with pytest.raises(SchemaError, match="empty"):
+            FeatureSchema(**kwargs)
+
+
 def test_schema_dict_round_trip():
     schema = FeatureSchema(label_column=None)
     again = FeatureSchema(**schema.to_dict())

@@ -4,7 +4,16 @@ import struct
 import numpy as np
 import pytest
 
-from flowcodec._fsutil import atomic_write, conforms, field, read_frame, read_json, write_json
+from flowcodec._fsutil import (
+    atomic_write,
+    conforms,
+    field,
+    read_frame,
+    read_json,
+    undefined_as_none,
+    write_json,
+    write_table,
+)
 from flowcodec.autoencoder import encode, load_model, save_model, train
 from flowcodec.errors import FlowcodecError, ModelFormatError
 from flowcodec.flow_data import Dataset, FeatureSchema
@@ -25,6 +34,16 @@ def test_failed_write_keeps_old_target_and_leaves_no_temp(tmp_path):
         assert target.read_bytes() == b"old contents\x00\xff"
         assert list(tmp_path.glob("*.tmp")) == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.bin"]
+
+
+def test_write_table_cells(tmp_path):
+    # A float as its shortest round-trip repr (17 digits here), an int as
+    # is, None and NaN as an empty cell, and a comma quoted.
+    path = tmp_path / "table.csv"
+    row = [0.1 + 0.2, 7, None, "a,b", *undefined_as_none(np.array([np.nan, 2.5]))]
+    write_table(path, ["float", "int", "none", "text", "nan", "half"], [row])
+    assert path.read_bytes() == b'float,int,none,text,nan,half\r\n0.30000000000000004,7,,"a,b",,2.5\r\n'
+    assert undefined_as_none(np.array([[1.0, np.nan], [np.nan, 3.0]])) == [[1.0, None], [None, 3.0]]
 
 
 def test_failed_write_creates_no_new_target(tmp_path):
