@@ -21,6 +21,7 @@ from .flow_data import (
     generate_synthetic,
     load_csv,
     random_split,
+    read_features,
     stratified_split,
     write_csv,
 )
@@ -56,6 +57,7 @@ __all__ = [
     "neural",
     "preprocess",
     "random_split",
+    "read_features",
     "save_model",
     "stratified_split",
     "write_csv",

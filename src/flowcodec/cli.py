@@ -35,11 +35,12 @@ from .flow_data import (
     generate_synthetic,
     load_csv,
     random_split,
+    read_features,
     stratified_split,
     write_csv,
 )
 from .forest import DEFAULT_N_TREES, TreeParams, fit_forest, predict, save_forest
-from .latent import DEFAULT_LATENT_DTYPE, read_latent, write_latent
+from .latent import DEFAULT_LATENT_DTYPE, LATENT_DTYPES, read_latent, write_latent
 from .neural import TrainConfig
 
 EXIT_OK = 0
@@ -106,8 +107,8 @@ class PipelineConfig:
             raise ConfigError(
                 f"fit_preprocessor_on must be 'train' or 'all', got {self.fit_preprocessor_on!r}"
             )
-        if self.latent_dtype not in ("float32", "float64"):
-            raise ConfigError(f"latent_dtype must be float32 or float64, got {self.latent_dtype!r}")
+        if self.latent_dtype not in LATENT_DTYPES:
+            raise ConfigError(f"latent_dtype must be one of {sorted(LATENT_DTYPES)}, got {self.latent_dtype!r}")
         if self.latent_dim < 1 or any(h < 1 for h in self.hidden):
             raise ConfigError("layer widths must be positive")
 
@@ -331,26 +332,25 @@ def cmd_decompress(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config, args.seed)
-    original = load_csv(args.original, cfg.schema)
+    original = read_features(args.original, cfg.schema)
 
     if args.reconstructed is not None:
-        recon_ds = load_csv(args.reconstructed, cfg.schema)
-        if len(recon_ds) != len(original):
+        recon = read_features(args.reconstructed, cfg.schema)
+        if len(recon) != len(original):
             raise DataError(
-                f"row count mismatch: original {len(original)}, reconstructed {len(recon_ds)}"
+                f"row count mismatch: original {len(original)}, reconstructed {len(recon)}"
             )
-        recon = recon_ds.features
         latent_dim = cfg.latent_dim
         warnings = []
     else:
-        model, state, warnings = _open_model(args, original.schema)
+        model, state, warnings = _open_model(args, cfg.schema)
         recon = preprocess.inverse_transform(
-            autoencoder.reconstruct(model, preprocess.transform(original.features, state)), state
+            autoencoder.reconstruct(model, preprocess.transform(original, state)), state
         )
         latent_dim = model.latent_dim
 
     report = eval_metrics.build_report(
-        original.features,
+        original,
         recon,
         feature_names=cfg.schema.compressible_columns,
         latent_dim=latent_dim,
@@ -363,7 +363,7 @@ def cmd_evaluate(args) -> int:
     report.save_json(out / "reconstruction_report.json")
     report.save_feature_csv(out / "feature_reconstruction.csv")
     report.save_correlation_csv(out / "correlation_difference.csv")
-    eval_metrics.save_row_percent_errors(original.features, recon, out / "row_percent_errors.csv")
+    eval_metrics.save_row_percent_errors(original, recon, out / "row_percent_errors.csv")
 
     print(f"rows: {report.n_rows}")
     print(f"mse: {report.mse:.6g}  rmse: {report.rmse:.6g}  "

@@ -8,6 +8,8 @@ optional class label used by the downstream classifier.
 `Dataset` is the one in-memory model of those records, stored by column.
 `FeatureSchema` decides which columns exist and in what order; the CSV reader
 and writer here and the `.fclz` container in `latent` take that order from it.
+`read_features` reads only the feature matrix of a CSV, for a caller that
+needs nothing else.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+import warnings
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
@@ -146,6 +149,19 @@ class SplitIndices:
     seed: int
 
 
+def _header_index(reader, path: Path, schema: FeatureSchema) -> dict[str, int]:
+    """Read the header row from ``reader`` and map each column name to its
+    position, refusing an empty file or a header that lacks a schema column."""
+    header = next(reader, None)
+    if header is None:
+        raise EmptyDatasetError(f"{path}: file is empty")
+    col_index = {name: i for i, name in enumerate(header)}
+    missing = [c for c in schema.all_columns if c not in col_index]
+    if missing:
+        raise SchemaError(f"{path}: missing column(s) {missing}")
+    return col_index
+
+
 def load_csv(path: str | Path, schema: FeatureSchema | None = None) -> Dataset:
     """Parse a header-driven CSV into a Dataset.
 
@@ -157,13 +173,7 @@ def load_csv(path: str | Path, schema: FeatureSchema | None = None) -> Dataset:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader, None)
-            if header is None:
-                raise EmptyDatasetError(f"{path}: file is empty")
-            col_index = {name: i for i, name in enumerate(header)}
-            missing = [c for c in schema.all_columns if c not in col_index]
-            if missing:
-                raise SchemaError(f"{path}: missing column(s) {missing}")
+            col_index = _header_index(reader, path, schema)
             width = 1 + max(col_index[c] for c in schema.all_columns)
             feat_idx = [col_index[c] for c in schema.compressible_columns]
             feature_cells = itemgetter(*feat_idx)
@@ -208,6 +218,73 @@ def load_csv(path: str | Path, schema: FeatureSchema | None = None) -> Dataset:
     if not feature_rows:
         raise EmptyDatasetError(f"{path}: no data rows")
     return Dataset(schema, np.array(feature_rows, dtype=np.float64), identities, labels)
+
+
+# One row as read_features asks np.loadtxt for it: the feature cells, then
+# the cell of the rightmost schema column, read only so that a row that
+# stops short of it is refused as load_csv refuses it.
+_FEATURE_ROW = np.dtype([("f", np.float64, (N_FEATURES,)), ("w", "U1")])
+# Bytes on which np.loadtxt and csv.reader with float() can disagree: NUL,
+# which csv refuses before Python 3.11, and 0x1C-0x1F, which numpy strips
+# from a number as whitespace where float() refuses it.
+_LOADTXT_UNSAFE = (b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _loadtxt_agrees(data: bytes) -> bool:
+    """Whether np.loadtxt is sure to split and parse ``data`` as load_csv does.
+
+    Besides the bytes above, csv.reader refuses a cell longer than
+    csv.field_size_limit(), and loadtxt has no such limit. A file no longer
+    than the limit holds no such cell. Nor does an unquoted file in which
+    every aligned window of half the limit holds a line end, since an
+    unquoted cell lies within one line. Larger quoted files are not judged.
+    """
+    if any(b in data for b in _LOADTXT_UNSAFE):
+        return False
+    limit = csv.field_size_limit()
+    if len(data) <= limit:
+        return True
+    if b'"' in data:
+        return False
+    half = max(limit // 2, 1)
+    return all(
+        data.find(b"\n", i, i + half) >= 0 or data.find(b"\r", i, i + half) >= 0
+        for i in range(0, len(data) - half + 1, half)
+    )
+
+
+def read_features(path: str | Path, schema: FeatureSchema | None = None) -> np.ndarray:
+    """The read-only N x 21 float64 matrix that ``load_csv(path,
+    schema).features`` returns, parsed by numpy's C reader; identity and
+    label cells are not kept.
+
+    A file that reader refuses, that gives no rows or a non-finite value,
+    or that it might read otherwise than csv.reader (`_loadtxt_agrees`) is
+    read by load_csv instead, which returns the same matrix or raises its
+    own error. A header is refused by the same check in both readers.
+    """
+    schema = schema or FeatureSchema()
+    path = Path(path)
+    table = None
+    if _loadtxt_agrees(path.read_bytes()):
+        with open(path, newline="", encoding="utf-8") as fh:
+            try:
+                col_index = _header_index(csv.reader(fh), path, schema)
+                usecols = [col_index[c] for c in schema.compressible_columns]
+                usecols.append(max(col_index[c] for c in schema.all_columns))
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                    table = np.loadtxt(
+                        fh, dtype=_FEATURE_ROW, delimiter=",", quotechar='"', comments=None,
+                        usecols=usecols, ndmin=1,
+                    )
+            except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+                pass  # load_csv reads the file below and names its fault
+    if table is None or len(table) == 0 or not np.isfinite(table["f"]).all():
+        return load_csv(path, schema).features
+    features = np.ascontiguousarray(table["f"])
+    features.setflags(write=False)
+    return features
 
 
 _WRITE_ROWS = 8192  # rows formatted per block, to bound the strings held at once

@@ -62,8 +62,11 @@ class TreeParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TreeParams":
-        """Omitted keys keep their defaults; keys that are not fields are ignored."""
-        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
+        """Omitted keys keep their defaults; a key that is not a field is a DataError."""
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise DataError(f"unknown key(s) {unknown}")
+        return cls(**d)
 
 
 @dataclass

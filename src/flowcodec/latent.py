@@ -37,7 +37,7 @@ from .flow_data import Dataset, FeatureSchema
 
 LATENT_MAGIC = b"FCLZ"
 LATENT_FORMAT_VERSION = 2
-_DTYPES = {"float32": np.float32, "float64": np.float64}
+LATENT_DTYPES = {"float32": np.float32, "float64": np.float64}
 DEFAULT_LATENT_DTYPE = "float32"
 _STREAM = struct.Struct("<QQ")  # raw and packed byte lengths of one sidecar stream
 # On 25k synthetic flows (one Xeon core, zlib 1.2.13), level 1 deflates the
@@ -81,8 +81,8 @@ def write_latent(
     the magic and frame), ``block`` and ``sidecar`` (with its u64 length).
     ``dtype`` controls the stored latent precision and therefore the
     realized compression ratio."""
-    if dtype not in _DTYPES:
-        raise DataError(f"latent dtype must be one of {sorted(_DTYPES)}, got {dtype!r}")
+    if dtype not in LATENT_DTYPES:
+        raise DataError(f"latent dtype must be one of {sorted(LATENT_DTYPES)}, got {dtype!r}")
     latent = np.asarray(latent)
     if latent.ndim != 2 or latent.shape[0] != len(dataset):
         raise DataError(f"latent shape {latent.shape} does not match {len(dataset)} dataset rows")
@@ -102,7 +102,7 @@ def write_latent(
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with np.errstate(over="ignore"):
-        stored = np.ascontiguousarray(latent, dtype=_DTYPES[dtype])
+        stored = np.ascontiguousarray(latent, dtype=LATENT_DTYPES[dtype])
     if not np.isfinite(stored).all():
         raise DataError(
             f"latent values are not finite as {dtype}; an input feature is far outside"
@@ -141,7 +141,7 @@ def read_latent(path: str | Path) -> LatentFile:
         remedy=f" (this build reads {LATENT_FORMAT_VERSION}); re-run `flowcodec compress` to rewrite it",
     )
     dtype = field(header, "dtype", str, path)
-    if dtype not in _DTYPES:
+    if dtype not in LATENT_DTYPES:
         raise ModelFormatError(f"{path}: unknown latent dtype {dtype!r}")
     n_rows = field(header, "n_rows", int, path)
     latent_dim = field(header, "latent_dim", int, path)
@@ -160,12 +160,12 @@ def read_latent(path: str | Path) -> LatentFile:
     except SchemaError as exc:
         raise ModelFormatError(f"{path}: header column names: {exc}") from exc
 
-    itemsize = np.dtype(_DTYPES[dtype]).itemsize
+    itemsize = np.dtype(LATENT_DTYPES[dtype]).itemsize
     block_len = n_rows * latent_dim * itemsize
     if len(blob) < block_start + block_len + 8:
         raise ModelFormatError(f"{path}: latent block truncated")
     latent = np.frombuffer(
-        blob, dtype=_DTYPES[dtype], count=n_rows * latent_dim, offset=block_start
+        blob, dtype=LATENT_DTYPES[dtype], count=n_rows * latent_dim, offset=block_start
     ).reshape(n_rows, latent_dim).copy()
     if not np.isfinite(latent).all():
         raise ModelFormatError(f"{path}: latent block holds non-finite values")

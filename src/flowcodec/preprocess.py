@@ -132,7 +132,3 @@ def inverse_transform(matrix: np.ndarray, state: PreprocessorState) -> np.ndarra
     matrix = _check(matrix, state)
     return matrix * state.iqr + state.median
 
-
-def fit_transform(matrix: np.ndarray, feature_names: tuple[str, ...] | None = None):
-    state = fit(matrix, feature_names)
-    return transform(matrix, state), state

@@ -98,6 +98,7 @@ def test_load_config_rejects_bad_input(tmp_path):
         {"hidden": [16, "8"]},
         {"latent_dim": "16"},
         {"latent_dtype": 32},
+        {"latent_dtype": "float16"},
         {"forest": {"n_trees": "3"}},
         {"forest": {"save_model": "yes"}},
         {"forest": 5},
@@ -258,6 +259,22 @@ def test_malformed_csv_exits_2_without_traceback(tmp_path, capsys):
         code = main(["classify", "--input", str(bad), "--output-dir", str(tmp_path / "cls")])
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
+
+def test_evaluate_short_recon_row_exits_2_naming_row_and_column(tmp_path, capsys):
+    # evaluate keeps only the features, but a recon row that stops before
+    # the label cell is still refused, with load_csv's row and column.
+    data, recon = tmp_path / "flows.csv", tmp_path / "recon.csv"
+    assert main(["synth", "--n-per-class", "3", "--output", str(data)]) == 0
+    lines = data.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].rsplit(b",", 1)[0] + b"\r\n"
+    recon.write_bytes(b"".join(lines))
+    code = main(["evaluate", "--original", str(data), "--reconstructed", str(recon),
+                 "--output-dir", str(tmp_path / "eval")])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert err == f"error: {recon}: row 2, column 'application_name': cell missing\n"
+    assert not (tmp_path / "eval").exists()
 
 
 def test_divergence_exits_3_and_leaves_no_model(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import csv
 import io
+import sys
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from flowcodec.flow_data import (
     generate_synthetic,
     load_csv,
     random_split,
+    read_features,
     stratified_split,
     write_csv,
 )
@@ -220,6 +222,140 @@ def test_load_csv_keeps_finite_rows_whose_sum_overflows(tmp_path):
     path = tmp_path / "flows.csv"
     make_csv(path, schema, [full_row(schema, value=1e308), full_row(schema, value=-1e308)])
     assert (np.abs(load_csv(path, schema).features) == 1e308).all()
+
+
+# ---------------------------------------------------------------- read_features
+
+_UNLABELED = FeatureSchema(label_column=None)
+_FIELD_LIMIT = csv.field_size_limit()
+
+
+def _raw_row(schema=FeatureSchema(), features=None, identity="10.0.0.1", label="web"):
+    """One CSV line in schema column order, without its line end."""
+    features = features if features is not None else [f"{i}.5" for i in range(N_FEATURES)]
+    cells = [identity] * len(schema.identity_columns) + list(features)
+    if schema.label_column is not None:
+        cells.append(label)
+    return ",".join(cells)
+
+
+def _raw_csv(*rows, schema=FeatureSchema(), header=None, end="\r\n") -> bytes:
+    header = ",".join(schema.all_columns) if header is None else header
+    return "".join(line + end for line in (header, *rows)).encode("utf-8")
+
+
+def _with_feature(cell, position=3):
+    features = [f"{i}.5" for i in range(N_FEATURES)]
+    features[position] = cell
+    return _raw_row(features=features)
+
+
+_GOOD = _raw_row()
+_HARD_FLOATS = [
+    "5e-324", "4.9406564584124654e-324", "2.2250738585072009e-308", "2.2250738585072014e-308",
+    "1e-310", str(2**53 - 1), str(2**53), str(2**53 + 1), str(-(2**53) - 1), "1e23", "8.589973e9",
+    "0.1", "0.30000000000000004", "1.7976931348623157e308", "-0", "123456789012345678901234567890",
+    "2.4703282292062328e-324", "7.2057594037927933e16", "9.007199254740993e15", "1e-5", "3.14159",
+]
+
+# (case id, file bytes, schema, what load_csv does with it: None to accept,
+# else the error class it raises)
+READ_CASES = [
+    # rows
+    ("short_row", _raw_csv(_GOOD, _GOOD[: _GOOD.rindex(",")]), FeatureSchema(), RowParseError),
+    ("short_row_unlabeled", _raw_csv(_raw_row(_UNLABELED), _raw_row(_UNLABELED)[: -len(",20.5")], schema=_UNLABELED),
+     _UNLABELED, RowParseError),
+    ("extra_trailing_cells", _raw_csv(_GOOD, _GOOD + ",x,9"), FeatureSchema(), None),
+    ("blank_line", _raw_csv(_GOOD, "", _GOOD), FeatureSchema(), None),
+    ("whitespace_only_line", _raw_csv(_GOOD, "  \t", _GOOD), FeatureSchema(), RowParseError),
+    # cell values
+    ("underscore_digits", _raw_csv(_with_feature("1_000")), FeatureSchema(), None),
+    ("arabic_indic_digits", _raw_csv(_with_feature("١٢٣.٥")), FeatureSchema(), None),
+    ("nan", _raw_csv(_GOOD, _with_feature("nan")), FeatureSchema(), RowParseError),
+    ("inf", _raw_csv(_with_feature("-inf")), FeatureSchema(), RowParseError),
+    ("overflow", _raw_csv(_with_feature("1e999")), FeatureSchema(), RowParseError),
+    ("empty_feature_cell", _raw_csv(_with_feature("")), FeatureSchema(), RowParseError),
+    # numpy strips 0x1C-0x1F around a number as whitespace; float() does not
+    ("file_separator_byte", _raw_csv(_with_feature("\x1c7")), FeatureSchema(), RowParseError),
+    ("unit_separator_byte", _raw_csv(_with_feature("7\x1f")), FeatureSchema(), RowParseError),
+    ("spaces_and_quotes_around_number", _raw_csv(_with_feature(' 7 '), _with_feature('"8"')), FeatureSchema(), None),
+    # file shape and encoding
+    ("bare_cr_line_ends", _raw_csv(_GOOD, _GOOD, end="\r"), FeatureSchema(), None),
+    ("bare_lf_line_ends", _raw_csv(_GOOD, _GOOD, end="\n"), FeatureSchema(), None),
+    ("quoted_header_cell_with_line_break",
+     _raw_csv(_GOOD + ",x", _GOOD + ",y", header=",".join(FeatureSchema().all_columns) + ',"note\r\nmore"'),
+     FeatureSchema(), None),
+    ("hash_and_quoted_comma_in_identity", _raw_csv(_raw_row(identity='"#1,2"'), _raw_row(identity="#x")),
+     FeatureSchema(), None),
+    ("quoted_line_break_and_doubled_quote_in_label",
+     _raw_csv(_raw_row(label='"we\r\nb ""x"""'), _raw_row(label='a"b')), FeatureSchema(), None),
+    ("header_only", _raw_csv(), FeatureSchema(), EmptyDatasetError),
+    ("empty_file", b"", FeatureSchema(), EmptyDatasetError),
+    ("missing_column", _raw_csv(_GOOD, header=",".join(FeatureSchema().all_columns[:-2])), FeatureSchema(), SchemaError),
+    # past the first block the text layer decodes, so the header reads first
+    ("invalid_utf8_row", _raw_csv(*[_GOOD] * 60) + b"\xff" + _GOOD.encode(),
+     FeatureSchema(), DataError),
+    ("invalid_utf8_header", b"\xff" + _raw_csv(_GOOD), FeatureSchema(), DataError),
+    # csv refuses a cell longer than its field size limit; loadtxt has none
+    ("long_unquoted_cell", _raw_csv(_raw_row(identity="a" * (_FIELD_LIMIT + 1))), FeatureSchema(), DataError),
+    ("long_quoted_cell", _raw_csv(_raw_row(identity='"' + "a,\n" * (_FIELD_LIMIT // 3 + 1) + '"')),
+     FeatureSchema(), DataError),
+    ("long_file_short_cells", _raw_csv(*[_GOOD] * (_FIELD_LIMIT // len(_GOOD) + 2)), FeatureSchema(), None),
+    # hard floats
+    ("hard_floats", _raw_csv(_raw_row(features=_HARD_FLOATS), _raw_row(features=_HARD_FLOATS[::-1])),
+     FeatureSchema(), None),
+]
+
+
+@pytest.mark.parametrize(
+    "raw, schema, refusal", [case[1:] for case in READ_CASES], ids=[case[0] for case in READ_CASES]
+)
+def test_read_features_matches_load_csv(tmp_path, raw, schema, refusal):
+    path = tmp_path / "flows.csv"
+    path.write_bytes(raw)
+    if refusal is None:
+        expected = load_csv(path, schema).features
+        got = read_features(path, schema)
+        assert got.dtype == np.float64 and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        assert not got.flags.writeable
+        return
+    with pytest.raises(DataError) as reference:
+        load_csv(path, schema)
+    assert type(reference.value) is refusal
+    with pytest.raises(DataError) as got:
+        read_features(path, schema)
+    assert type(got.value) is refusal
+    assert str(got.value) == str(reference.value)
+
+
+def test_read_features_nul_byte_follows_this_pythons_csv(tmp_path):
+    # csv.reader refuses a NUL byte before Python 3.11 and keeps it in the
+    # cell from 3.11 on. loadtxt keeps it too, so a file holding one is
+    # read by load_csv: evaluate refuses it on 3.10 and reads it on 3.11.
+    path = tmp_path / "flows.csv"
+    path.write_bytes(_raw_csv(_GOOD, _raw_row(identity="10.0\x00.0.1")))
+    if sys.version_info < (3, 11):
+        with pytest.raises(DataError, match="NUL"):
+            load_csv(path)
+        with pytest.raises(DataError, match="NUL"):
+            read_features(path)
+    else:
+        assert read_features(path).tobytes() == load_csv(path).features.tobytes()
+
+
+def test_read_features_parses_written_csvs_without_load_csv(tmp_path, monkeypatch):
+    ds = generate_synthetic(30, default_class_specs(), seed=4)
+    identities = dict(ds.identities, src_ip=['a,"b"\r\nc'] * len(ds))  # quoted on write
+    ds = Dataset(ds.schema, ds.features, identities, ds.labels)
+    path = tmp_path / "flows.csv"
+    write_csv(ds, path)
+
+    def refuse(*args):
+        raise AssertionError("read_features fell back to load_csv")
+
+    monkeypatch.setattr(flow_data, "load_csv", refuse)
+    assert read_features(path, ds.schema).tobytes() == ds.features.tobytes()
 
 
 def _reference_format_number(v: float) -> str:

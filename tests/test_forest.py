@@ -575,6 +575,11 @@ def test_load_forest_rejects_corrupt_files(tmp_path):
         with pytest.raises(ModelFormatError):
             load_forest(bad)
 
+    # A misspelt limit is refused, not dropped for its default.
+    bad.write_text(json.dumps(mutated(lambda d, t: d["params"].update(max_dept=3))))
+    with pytest.raises(ModelFormatError, match=r"bad tree params: unknown key\(s\) \['max_dept'\]"):
+        load_forest(bad)
+
     # A node that lists itself as a child made predict loop forever; the
     # loader must refuse it before predict ever runs.
     bad.write_text(json.dumps(mutated(lambda d, t: t["right"].__setitem__(0, 0))))

@@ -7,7 +7,6 @@ from flowcodec.errors import DataError, ModelFormatError
 from flowcodec.preprocess import (
     PreprocessorState,
     fit,
-    fit_transform,
     inverse_transform,
     transform,
 )
@@ -77,7 +76,7 @@ def test_clipping_is_lossy_above_threshold():
 def test_transform_centers_and_scales():
     rng = np.random.default_rng(12)
     m = rng.normal(50.0, 9.0, size=(4000, 6))
-    z, state = fit_transform(m)
+    z = transform(m, fit(m))
     med = np.median(z, axis=0)
     iqr = np.quantile(z, 0.75, axis=0) - np.quantile(z, 0.25, axis=0)
     assert np.max(np.abs(med)) < 1e-9
