@@ -4,7 +4,9 @@ Every file the package writes goes through `atomic_write`, so a reader sees
 the old file or the complete new one, never a torn one; each CSV report goes
 through `write_table` on top of it. Every artifact it reads back goes through
 `read_frame` or `read_json` and then `field`, which raise ModelFormatError
-for any defect. The binary containers (FCAE models, FCLZ latents) share one
+for any defect. `build` is the one way from a JSON object to a checked
+dataclass: the pipeline config, a synthetic class spec, a forest's tree
+limits. The binary containers (FCAE models, FCLZ latents) share one
 frame: a 4-byte magic, a little-endian u32 version and u32 header length,
 then a UTF-8 JSON header object.
 """
@@ -17,12 +19,14 @@ import json
 import os
 import struct
 import tempfile
+from dataclasses import is_dataclass
 from pathlib import Path
-from typing import get_args, get_origin
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import ModelFormatError
+from .errors import ConfigError, DataError, FlowcodecError, ModelFormatError
 
 _FRAME = struct.Struct("<II")
 
@@ -110,14 +114,70 @@ def read_json(path, what: str) -> dict:
 
 
 def conforms(value, kind) -> bool:
-    """isinstance for a type, a tuple or union of types, ``list[T]`` or
-    ``tuple[T, ...]`` (a JSON list either way). bool never passes as a
-    number; an int passes as a float."""
-    if get_origin(kind) in (list, tuple):
-        return isinstance(value, (list, tuple)) and all(conforms(v, get_args(kind)[0]) for v in value)
-    if kind is float:
+    """Whether the JSON ``value`` can stand for ``kind``: a type, a union,
+    ``list[T]``, ``tuple[T, ...]``, a fixed ``tuple[A, B]`` (a JSON list for
+    either tuple), ``dict[str, T]``, or a dataclass (any JSON object; `build`
+    checks its fields). bool never passes as a number; an int passes as a
+    float."""
+    origin, args = get_origin(kind), get_args(kind)
+    if origin in (Union, UnionType):
+        return any(conforms(value, k) for k in args)
+    if origin in (list, tuple):
+        if not isinstance(value, (list, tuple)):
+            return False
+        if origin is tuple and args[-1] is not Ellipsis:
+            return len(value) == len(args) and all(map(conforms, value, args))
+        return all(conforms(v, args[0]) for v in value)
+    if origin is dict:  # JSON object keys are always strings
+        return isinstance(value, dict) and all(conforms(v, args[1]) for v in value.values())
+    if is_dataclass(kind):
+        kind = dict
+    elif kind is float:
         kind = (int, float)
     return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+
+
+def build(cls, block, where: str, error: type[FlowcodecError] = ConfigError, prefix: str = ""):
+    """Dataclass ``cls`` built from the JSON object ``block``, with each
+    dataclass inside it built from its nested object and each JSON list that
+    stands for a tuple made one. A non-object block, a key ``cls`` lacks, a
+    value that does not `conform` to its field or a value that ``cls``
+    refuses raises ``error``, naming ``where``; a nested object is named by
+    its dotted path, which ``prefix`` starts. Omitted keys keep the
+    dataclass defaults."""
+    if not isinstance(block, dict):
+        raise error(f"{where} must hold a JSON object")
+    hints = get_type_hints(cls)
+    unknown = set(block) - set(hints)
+    if unknown:
+        raise error(f"unknown keys in {where}: {sorted(unknown)}")
+    kwargs = {}
+    for key, hint in hints.items():  # declaration order, so nested blocks build in a fixed order
+        if key in block:
+            if not conforms(block[key], hint):
+                raise error(f"{where}: {key!r} has the wrong type: {block[key]!r}")
+            kwargs[key] = _convert(block[key], hint, prefix + key, error)
+    try:
+        return cls(**kwargs)
+    except (DataError, TypeError, ValueError) as exc:
+        raise error(f"bad {where} block: {exc}") from exc
+
+
+def _convert(value, kind, path: str, error):
+    """``value``, which conforms to ``kind``, with its dataclasses built and
+    its tuples made; ``path`` names it in an error."""
+    origin, args = get_origin(kind), get_args(kind)
+    if is_dataclass(kind):
+        return build(kind, value, path, error, path + ".")
+    if origin in (Union, UnionType):
+        return _convert(value, next(k for k in args if conforms(value, k)), path, error)
+    if origin in (list, tuple):
+        kinds = args if origin is tuple and args[-1] is not Ellipsis else args[:1] * len(value)
+        items = [_convert(v, k, f"{path}[{i}]", error) for i, (v, k) in enumerate(zip(value, kinds))]
+        return items if origin is list else tuple(items)
+    if origin is dict:
+        return {k: _convert(v, args[1], f"{path}[{k!r}]", error) for k, v in value.items()}
+    return value
 
 
 def field(doc: dict, key: str, kind, where, ndim: int = 1):

@@ -10,14 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, is_dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import get_origin, get_type_hints
 
 import numpy as np
 
 from . import autoencoder, classify_eval, eval_metrics, preprocess
-from ._fsutil import atomic_write, conforms, write_json
+from ._fsutil import atomic_write, build, write_json
 from .errors import (
     ConfigError,
     DataError,
@@ -78,7 +77,7 @@ class MetricsSettings:
 class SynthSettings:
     n_per_class: int = 2000
     sigma: float = DEFAULT_SIGMA
-    class_specs: list | None = None
+    class_specs: list[SyntheticClassSpec] | None = None
 
 
 @dataclass
@@ -118,35 +117,6 @@ class PipelineConfig:
         return np.dtype(self.latent_dtype).itemsize
 
 
-def _build(cls, block, where: str):
-    """Build dataclass ``cls`` from a JSON object, and each field whose type
-    is a dataclass from its nested object. A non-object block, a key ``cls``
-    lacks or a mistyped value is a ConfigError; omitted keys keep the
-    dataclass defaults, and a JSON list becomes a tuple where the field is one."""
-    if not isinstance(block, dict):
-        raise ConfigError(f"{where} must hold a JSON object")
-    hints = get_type_hints(cls)
-    unknown = set(block) - set(hints)
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    for key, value in block.items():
-        if not conforms(value, dict if is_dataclass(hints[key]) else hints[key]):
-            raise ConfigError(f"{where}: {key!r} has the wrong type: {value!r}")
-    kwargs = {}
-    for key, hint in hints.items():  # declaration order, so nested blocks build in a fixed order
-        if key in block:
-            value = block[key]
-            if is_dataclass(hint):
-                value = _build(hint, value, key)
-            elif get_origin(hint) is tuple:
-                value = tuple(value)
-            kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except (DataError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {where} block: {exc}") from exc
-
-
 def _read_json(path: str, what: str):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
@@ -166,7 +136,7 @@ def load_config(path: str | None, seed_override: int | None = None) -> PipelineC
     doc = {} if path is None else _read_json(path, "config")
     if isinstance(doc, dict) and isinstance(doc.get("schema"), str):
         doc = {**doc, "schema": _read_json(doc["schema"], "schema file")}
-    cfg = _build(PipelineConfig, doc, f"config {path}")
+    cfg = build(PipelineConfig, doc, f"config {path}")
     if seed_override is not None:
         cfg = replace(cfg, seed=seed_override)
     if seed_override is not None or "seed" not in doc.get("train", {}):
@@ -226,13 +196,7 @@ def _split(ds: Dataset, cfg: PipelineConfig) -> SplitIndices:
 
 def cmd_synth(args) -> int:
     cfg = load_config(args.config, args.seed)
-    if cfg.synth.class_specs is not None:
-        try:
-            specs = [SyntheticClassSpec.from_dict(d) for d in cfg.synth.class_specs]
-        except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad synth.class_specs entry: {exc}") from exc
-    else:
-        specs = default_class_specs(cfg.synth.sigma)
+    specs = cfg.synth.class_specs if cfg.synth.class_specs is not None else default_class_specs(cfg.synth.sigma)
     n = args.n_per_class if args.n_per_class is not None else cfg.synth.n_per_class
     ds = generate_synthetic(n, specs, seed=cfg.seed, schema=cfg.schema)
     write_csv(ds, args.output)
@@ -467,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="flowcodec", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p = commands.add_parser("synth", parents=[], help="generate a labeled synthetic flow CSV")
+    p = commands.add_parser("synth", help="generate a labeled synthetic flow CSV")
     _add_common(p)
     p.add_argument("--n-per-class", type=int, help="rows per class (default from config)")
     p.add_argument("--output", required=True, help="CSV path to write")

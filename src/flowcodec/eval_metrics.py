@@ -7,7 +7,6 @@ inverse preprocessing, so magnitudes are interpretable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -76,13 +75,12 @@ def kl_divergence(
     original: np.ndarray,
     reconstructed: np.ndarray,
     bins: int = DEFAULT_KL_BINS,
-    log_base: float | None = None,
 ) -> float:
     """Histogram KL divergence D(P||Q) of original vs reconstructed values.
 
     Both sides are histogrammed over the same equal-width bin edges spanning
     the union range, smoothed additively with epsilon and renormalized.
-    Natural log unless log_base is given. A degenerate union range yields 0.
+    Natural log. A degenerate union range yields 0.
     """
     p_vals = np.asarray(original, dtype=np.float64).ravel()
     q_vals = np.asarray(reconstructed, dtype=np.float64).ravel()
@@ -101,8 +99,6 @@ def kl_divergence(
     p = p / p.sum()
     q = q / q.sum()
     kl = float(np.sum(p * np.log(p / q)))
-    if log_base is not None:
-        kl /= math.log(log_base)
     # Clamp tiny negative round-off when P == Q bin-for-bin.
     return max(kl, 0.0)
 

@@ -89,13 +89,6 @@ class FeatureSchema:
             cols = cols + (self.label_column,)
         return cols
 
-    def to_dict(self) -> dict:
-        return {
-            "identity_columns": list(self.identity_columns),
-            "compressible_columns": list(self.compressible_columns),
-            "label_column": self.label_column,
-        }
-
 
 class Dataset:
     """Immutable flow records by column: ``features`` is N x 21 float64 in
@@ -401,16 +394,6 @@ class SyntheticClassSpec:
         # Median of lognormal(mu, sigma) is exp(mu).
         return cls(name=name, lognormal_params={k: (math.log(v), sigma) for k, v in medians.items()})
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "lognormal_params": {k: list(v) for k, v in self.lognormal_params.items()}}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SyntheticClassSpec":
-        return cls(
-            name=d["name"],
-            lognormal_params={k: (float(v[0]), float(v[1])) for k, v in d["lognormal_params"].items()},
-        )
-
 
 # Rough per-class feature medians for the default 5-class synthetic mix.
 # Scales are flow-realistic: durations in ms, packet sizes in bytes.
@@ -480,6 +463,11 @@ def generate_synthetic(
     """
     if len(class_specs) < 2:
         raise ConfigError(f"need at least 2 class specs, got {len(class_specs)}")
+    names = [spec.name for spec in class_specs]
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        # A class is its label, so two specs of one name would draw one class twice.
+        raise ConfigError(f"class spec name(s) used more than once: {repeated}")
     if n_per_class < 1:
         raise ConfigError(f"n_per_class must be >= 1, got {n_per_class}")
     schema = schema or FeatureSchema()

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .._fsutil import field as json_field
-from .._fsutil import read_json, write_json
+from .._fsutil import build, read_json, write_json
 from ..errors import DataError, ModelFormatError
 from . import splitter
 
@@ -52,21 +52,6 @@ class TreeParams:
         if self.max_features == "all":
             return n_features
         return min(int(self.max_features), n_features)
-
-    def to_dict(self) -> dict:
-        return {
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-            "max_features": self.max_features,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TreeParams":
-        """Omitted keys keep their defaults; a key that is not a field is a DataError."""
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise DataError(f"unknown key(s) {unknown}")
-        return cls(**d)
 
 
 @dataclass
@@ -302,17 +287,19 @@ def save_forest(model: ForestModel, path: str | Path) -> None:
         "n_classes": model.n_classes,
         "n_trees": model.n_trees,
         "seed": model.seed,
-        "params": model.params.to_dict(),
+        # Only the TreeParams fields: the CLI passes a subclass with settings of its own.
+        "params": {f.name: getattr(model.params, f.name) for f in fields(TreeParams)},
         "trees": trees,
     }
     write_json(path, doc, sort_keys=True)
 
 
 def load_forest(path: str | Path) -> ForestModel:
-    """Read a forest back, checking the preorder layout predict relies on:
-    every child id lies in (node, n_nodes), every split feature in
-    [0, n_features), every threshold is finite and no leaf count is
-    negative."""
+    """Read a forest back. Its params are checked as `build` checks a config,
+    it must list n_trees >= 1 trees, and each tree must keep the preorder
+    layout predict relies on: every child id lies in (node, n_nodes), every
+    split feature in [0, n_features), every threshold is finite and no leaf
+    count is negative."""
     doc = read_json(path, "forest file")
     if doc.get("format_version") != FOREST_FORMAT_VERSION:
         raise ModelFormatError(f"unsupported forest file version in {path}")
@@ -321,12 +308,13 @@ def load_forest(path: str | Path) -> ForestModel:
     seed = json_field(doc, "seed", int, path)
     if n_features < 1 or n_classes < 1:
         raise ModelFormatError(f"{path}: implausible forest shape ({n_features}, {n_classes})")
-    try:
-        params = TreeParams.from_dict(json_field(doc, "params", dict, path))
-    except (DataError, TypeError) as exc:
-        raise ModelFormatError(f"{path}: bad tree params: {exc}") from exc
+    params = build(TreeParams, json_field(doc, "params", dict, path), f"{path} params", ModelFormatError)
+    n_trees = json_field(doc, "n_trees", int, path)
+    tree_docs = json_field(doc, "trees", list[dict], path)
+    if not tree_docs or n_trees != len(tree_docs):
+        raise ModelFormatError(f"{path}: {len(tree_docs)} trees for n_trees {n_trees}; a forest holds n_trees >= 1")
     trees = []
-    for i, t in enumerate(json_field(doc, "trees", list[dict], path)):
+    for i, t in enumerate(tree_docs):
         where = f"{path}: tree {i}"
         feature, left, right = (json_field(t, k, np.int64, where) for k in ("feature", "left", "right"))
         threshold = json_field(t, "threshold", np.float64, where)

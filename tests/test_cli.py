@@ -10,6 +10,7 @@ import pytest
 
 from flowcodec.cli import load_config, main
 from flowcodec.errors import ConfigError
+from flowcodec.flow_data import default_class_specs
 from flowcodec.latent import read_latent
 
 FAST_CONFIG = {
@@ -177,6 +178,12 @@ def test_load_config_schema_file(tmp_path):
         load_config(str(p))
 
 
+def test_load_config_builds_class_specs(tmp_path):
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"synth": {"class_specs": [dataclasses.asdict(s) for s in default_class_specs()]}}))
+    assert load_config(str(p)).synth.class_specs == default_class_specs()
+
+
 def test_readme_config_block_lists_every_default():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Configuration", 1)[1]
@@ -231,12 +238,26 @@ def test_synth_zero_rows_exits_1_before_writing(tmp_path, capsys):
 def test_synth_bad_spec_exits_1_without_traceback(tmp_path, capsys):
     cfg, out = tmp_path / "c.json", tmp_path / "x.csv"
     other = {"name": "b", "lognormal_params": {}}
+    specs = [dataclasses.asdict(s) for s in default_class_specs()]
+    col = next(iter(specs[0]["lognormal_params"]))
+
+    def with_pair(pair):  # specs[0] with one (mu, sigma) replaced
+        return {**specs[0], "lognormal_params": {**specs[0]["lognormal_params"], col: pair}}
+
     for synth in (
         {"sigma": -1},
         {"sigma": float("nan")},
         {"sigma": 1000},  # finite, but the draws overflow float64
         {"class_specs": [{"name": "a", "lognormal_params": {"x": [1]}}, other]},
         {"class_specs": [{"name": "a", "lognormal_params": [1]}, other]},
+        # Refused while the config loads, before any class is drawn.
+        {"class_specs": [{**specs[0], "name": 5}, specs[1]]},
+        {"class_specs": [with_pair(["7", "0.3"]), specs[1]]},
+        {"class_specs": [with_pair([True, 0.3]), specs[1]]},
+        {"class_specs": [with_pair([7, 0.3, 1]), specs[1]]},
+        {"class_specs": [{**specs[0], "colour": "red"}, specs[1]]},
+        # Two classes of one name would share one label.
+        {"class_specs": [specs[0], specs[1], {**specs[2], "name": specs[0]["name"]}]},
     ):
         cfg.write_text(json.dumps({"synth": synth}))
         code = main(["synth", "--config", str(cfg), "--n-per-class", "5", "--output", str(out)])

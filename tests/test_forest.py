@@ -570,6 +570,14 @@ def test_load_forest_rejects_corrupt_files(tmp_path):
         mutated(lambda d, t: t["threshold"].__setitem__(-1, float("-inf"))),
         mutated(lambda d, t: t["leaf_counts"][0].__setitem__(0, -1)),
         [good_doc],
+        # Tree params are typed as a config's forest block is.
+        mutated(lambda d, t: d["params"].update(max_depth=2.5)),
+        mutated(lambda d, t: d["params"].update(min_samples_split=True)),
+        mutated(lambda d, t: d["params"].update(max_features=[1])),
+        # No trees would vote class 0 for every row.
+        mutated(lambda d, t: d.update(trees=[], n_trees=0)),
+        mutated(lambda d, t: d.update(n_trees=2)),
+        mutated(lambda d, t: d.pop("n_trees")),
     ):
         bad.write_text(json.dumps(doc))
         with pytest.raises(ModelFormatError):
@@ -577,7 +585,7 @@ def test_load_forest_rejects_corrupt_files(tmp_path):
 
     # A misspelt limit is refused, not dropped for its default.
     bad.write_text(json.dumps(mutated(lambda d, t: d["params"].update(max_dept=3))))
-    with pytest.raises(ModelFormatError, match=r"bad tree params: unknown key\(s\) \['max_dept'\]"):
+    with pytest.raises(ModelFormatError, match=r"unknown keys in .* params: \['max_dept'\]"):
         load_forest(bad)
 
     # A node that lists itself as a child made predict loop forever; the
