@@ -118,23 +118,41 @@ def conforms(value, kind) -> bool:
     ``list[T]``, ``tuple[T, ...]``, a fixed ``tuple[A, B]`` (a JSON list for
     either tuple), ``dict[str, T]``, or a dataclass (any JSON object; `build`
     checks its fields). bool never passes as a number; an int passes as a
-    float."""
+    float if float() can hold it."""
+    return _misfit(value, kind, "") is None
+
+
+def _misfit(value, kind, path: str) -> tuple[str, str] | None:
+    """None if the JSON ``value`` `conforms` to ``kind``; else the path of
+    the first element at fault, which extends ``path``, and what is wrong
+    with it, its value cut to 60 characters. Of a union's members, the one
+    that fits deepest names the fault."""
     origin, args = get_origin(kind), get_args(kind)
     if origin in (Union, UnionType):
-        return any(conforms(value, k) for k in args)
-    if origin in (list, tuple):
-        if not isinstance(value, (list, tuple)):
-            return False
-        if origin is tuple and args[-1] is not Ellipsis:
-            return len(value) == len(args) and all(map(conforms, value, args))
-        return all(conforms(v, args[0]) for v in value)
-    if origin is dict:  # JSON object keys are always strings
-        return isinstance(value, dict) and all(conforms(v, args[1]) for v in value.values())
-    if is_dataclass(kind):
-        kind = dict
-    elif kind is float:
-        kind = (int, float)
-    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
+        faults = [_misfit(value, k, path) for k in args]
+        return None if None in faults else max(faults, key=lambda fault: len(fault[0]))
+    if origin in (list, tuple) and isinstance(value, (list, tuple)):
+        if origin is list or args[-1] is Ellipsis:
+            return _first_misfit((f"{path}[{i}]", v, args[0]) for i, v in enumerate(value))
+        if len(value) == len(args):
+            return _first_misfit((f"{path}[{i}]", v, k) for i, (v, k) in enumerate(zip(value, args)))
+    elif origin is dict and isinstance(value, dict):  # JSON object keys are always strings
+        return _first_misfit((f"{path}[{k!r}]", v, args[1]) for k, v in value.items())
+    elif origin is None:
+        expected = dict if is_dataclass(kind) else (int, float) if kind is float else kind
+        if isinstance(value, expected) and (kind is bool or not isinstance(value, bool)):
+            if kind is float:
+                try:
+                    float(value)
+                except OverflowError:
+                    return path, f"is too large for a float: {value!r:.60}"
+            return None
+    return path, f"has the wrong type: {value!r:.60}"
+
+
+def _first_misfit(items) -> tuple[str, str] | None:
+    """The first `_misfit` among ``(path, value, kind)`` items, or None."""
+    return next(filter(None, (_misfit(value, kind, path) for path, value, kind in items)), None)
 
 
 def build(cls, block, where: str, error: type[FlowcodecError] = ConfigError, prefix: str = ""):
@@ -154,8 +172,10 @@ def build(cls, block, where: str, error: type[FlowcodecError] = ConfigError, pre
     kwargs = {}
     for key, hint in hints.items():  # declaration order, so nested blocks build in a fixed order
         if key in block:
-            if not conforms(block[key], hint):
-                raise error(f"{where}: {key!r} has the wrong type: {block[key]!r}")
+            misfit = _misfit(block[key], hint, prefix + key)
+            if misfit is not None:  # a nested block's prefix already names it
+                message = " ".join(misfit)
+                raise error(message if prefix else f"{where}: {message}")
             kwargs[key] = _convert(block[key], hint, prefix + key, error)
     try:
         return cls(**kwargs)

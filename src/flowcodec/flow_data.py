@@ -8,8 +8,10 @@ optional class label used by the downstream classifier.
 `Dataset` is the one in-memory model of those records, stored by column.
 `FeatureSchema` decides which columns exist and in what order; the CSV reader
 and writer here and the `.fclz` container in `latent` take that order from it.
-`read_features` reads only the feature matrix of a CSV, for a caller that
-needs nothing else.
+`load_csv` reads a CSV through numpy's C reader, and through a row-by-row
+csv reader where numpy's might read the file otherwise or where a fault
+must be named; `read_features` reads only the feature matrix by the same
+rules, for a caller that needs nothing else.
 """
 
 from __future__ import annotations
@@ -158,11 +160,41 @@ def _header_index(reader, path: Path, schema: FeatureSchema) -> dict[str, int]:
 def load_csv(path: str | Path, schema: FeatureSchema | None = None) -> Dataset:
     """Parse a header-driven CSV into a Dataset.
 
-    Columns not named by the schema are ignored. Identity cells are kept
-    verbatim; feature cells must parse as finite reals.
+    Columns not named by the schema are ignored. Identity and label cells
+    are kept verbatim; feature cells must parse as finite reals. numpy's C
+    reader parses the file (`_loadtxt_table`). A file that reader refuses,
+    that gives no rows or a non-finite value, or that it might read
+    otherwise than csv.reader is read row by row instead (`_read_rows`),
+    which returns the same Dataset or raises the error that names the
+    file's first fault.
     """
     schema = schema or FeatureSchema()
     path = Path(path)
+    text_columns = schema.identity_columns
+    if schema.label_column is not None:
+        text_columns += (schema.label_column,)
+    table = _loadtxt_table(path, schema, text_columns)
+    if table is None:
+        return _read_rows(path, schema)
+    features, cells = table
+    labels = cells.pop(schema.label_column) if schema.label_column is not None else None
+    return Dataset(schema, features, cells, labels)
+
+
+def read_features(path: str | Path, schema: FeatureSchema | None = None) -> np.ndarray:
+    """The read-only N x 21 float64 matrix that ``load_csv(path,
+    schema).features`` returns, read by the same rules; identity and label
+    cells are not parsed at all."""
+    schema = schema or FeatureSchema()
+    path = Path(path)
+    table = _loadtxt_table(path, schema, ())
+    return _read_rows(path, schema).features if table is None else table[0]
+
+
+def _read_rows(path: Path, schema: FeatureSchema) -> Dataset:
+    """load_csv's reader for a file numpy's reader does not take: csv.reader
+    row by row and float() cell by cell. Its errors name the row and
+    column of the first bad cell."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -213,9 +245,9 @@ def load_csv(path: str | Path, schema: FeatureSchema | None = None) -> Dataset:
     return Dataset(schema, np.array(feature_rows, dtype=np.float64), identities, labels)
 
 
-# One row as read_features asks np.loadtxt for it: the feature cells, then
-# the cell of the rightmost schema column, read only so that a row that
-# stops short of it is refused as load_csv refuses it.
+# One row as _loadtxt_table asks np.loadtxt for its features: the feature
+# cells, then the cell of the rightmost schema column, read only so that a
+# row that stops short of it is refused as _read_rows refuses it.
 _FEATURE_ROW = np.dtype([("f", np.float64, (N_FEATURES,)), ("w", "U1")])
 # Bytes on which np.loadtxt and csv.reader with float() can disagree: NUL,
 # which csv refuses before Python 3.11, and 0x1C-0x1F, which numpy strips
@@ -224,7 +256,7 @@ _LOADTXT_UNSAFE = (b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 def _loadtxt_agrees(data: bytes) -> bool:
-    """Whether np.loadtxt is sure to split and parse ``data`` as load_csv does.
+    """Whether np.loadtxt is sure to split and parse ``data`` as _read_rows does.
 
     Besides the bytes above, csv.reader refuses a cell longer than
     csv.field_size_limit(), and loadtxt has no such limit. A file no longer
@@ -246,38 +278,50 @@ def _loadtxt_agrees(data: bytes) -> bool:
     )
 
 
-def read_features(path: str | Path, schema: FeatureSchema | None = None) -> np.ndarray:
-    """The read-only N x 21 float64 matrix that ``load_csv(path,
-    schema).features`` returns, parsed by numpy's C reader; identity and
-    label cells are not kept.
+def _loadtxt_table(path: Path, schema: FeatureSchema, text_columns: tuple[str, ...]):
+    """(feature matrix, {column: its cells}) of the CSV at ``path`` as
+    numpy's C reader parses it, with the verbatim cells of each of
+    ``text_columns`` as a list of str; or None where `_read_rows` must read
+    the file: loadtxt refuses it, finds no rows or a non-finite value, its
+    two parses disagree on the row count, or it might read the file
+    otherwise than csv.reader (`_loadtxt_agrees`). A header is refused by
+    the same check in both readers.
 
-    A file that reader refuses, that gives no rows or a non-finite value,
-    or that it might read otherwise than csv.reader (`_loadtxt_agrees`) is
-    read by load_csv instead, which returns the same matrix or raises its
-    own error. A header is refused by the same check in both readers.
+    The features come from one structured parse, the text cells from a
+    second, object-dtype parse over the same open file. Cells stay Python
+    str, not a fixed-width numpy string, which one long cell would widen
+    for every row.
     """
-    schema = schema or FeatureSchema()
-    path = Path(path)
-    table = None
-    if _loadtxt_agrees(path.read_bytes()):
-        with open(path, newline="", encoding="utf-8") as fh:
-            try:
-                col_index = _header_index(csv.reader(fh), path, schema)
-                usecols = [col_index[c] for c in schema.compressible_columns]
-                usecols.append(max(col_index[c] for c in schema.all_columns))
-                with warnings.catch_warnings():
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                    table = np.loadtxt(
-                        fh, dtype=_FEATURE_ROW, delimiter=",", quotechar='"', comments=None,
-                        usecols=usecols, ndmin=1,
+    if not _loadtxt_agrees(path.read_bytes()):
+        return None
+    text = None
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            col_index = _header_index(csv.reader(fh), path, schema)
+            usecols = [col_index[c] for c in schema.compressible_columns]
+            usecols.append(max(col_index[c] for c in schema.all_columns))
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                table = np.loadtxt(
+                    fh, dtype=_FEATURE_ROW, delimiter=",", quotechar='"', comments=None,
+                    usecols=usecols, ndmin=1,
+                )
+                if text_columns:
+                    fh.seek(0)
+                    _header_index(csv.reader(fh), path, schema)
+                    text = np.loadtxt(
+                        fh, dtype=object, delimiter=",", quotechar='"', comments=None,
+                        usecols=[col_index[c] for c in text_columns], ndmin=2,
                     )
-            except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
-                pass  # load_csv reads the file below and names its fault
-    if table is None or len(table) == 0 or not np.isfinite(table["f"]).all():
-        return load_csv(path, schema).features
+        except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+            return None
+    if len(table) == 0 or not np.isfinite(table["f"]).all():
+        return None
+    if text is not None and len(text) != len(table):
+        return None
     features = np.ascontiguousarray(table["f"])
     features.setflags(write=False)
-    return features
+    return features, {c: text[:, j].tolist() for j, c in enumerate(text_columns)}
 
 
 _WRITE_ROWS = 8192  # rows formatted per block, to bound the strings held at once

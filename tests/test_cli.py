@@ -266,6 +266,30 @@ def test_synth_bad_spec_exits_1_without_traceback(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_config_value_faults_exit_1_naming_the_element(tmp_path, capsys):
+    # Each message is one short line naming the element at fault by its
+    # path. A huge int in a float field ended both commands in a raw
+    # OverflowError, and a mistyped pair echoed all of its spec's pairs.
+    data, cfg = tmp_path / "flows.csv", tmp_path / "c.json"
+    assert main(["synth", "--n-per-class", "3", "--output", str(data)]) == 0
+    specs = [dataclasses.asdict(s) for s in default_class_specs()]
+    specs[0]["lognormal_params"]["src2dst_bytes"] = ["7", "0.3"]
+    synth = ["synth", "--config", str(cfg), "--n-per-class", "3", "--output", str(tmp_path / "x.csv")]
+    train = ["train", "--config", str(cfg), "--input", str(data), "--output-dir", str(tmp_path / "model")]
+    for argv, doc, message in (
+        (synth, {"synth": {"sigma": 10**400}}, "synth.sigma is too large for a float: 1000"),
+        (train, {"train": {"learning_rate": 10**400}}, "train.learning_rate is too large for a float: 1000"),
+        (synth, {"synth": {"class_specs": specs}},
+         "synth.class_specs[0].lognormal_params['src2dst_bytes'][0] has the wrong type: '7'"),
+    ):
+        cfg.write_text(json.dumps(doc))
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith(f"error: {message}")
+        assert err.count("\n") == 1 and len(err) < 150
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "model").exists()
+
+
 def test_malformed_csv_exits_2_without_traceback(tmp_path, capsys):
     data, bad = tmp_path / "flows.csv", tmp_path / "bad.csv"
     assert main(["synth", "--n-per-class", "3", "--output", str(data)]) == 0

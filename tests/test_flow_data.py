@@ -251,8 +251,8 @@ _HARD_FLOATS = [
     "2.4703282292062328e-324", "7.2057594037927933e16", "9.007199254740993e15", "1e-5", "3.14159",
 ]
 
-# (case id, file bytes, schema, what load_csv does with it: None to accept,
-# else the error class it raises)
+# (case id, file bytes, schema, what the row reader does with it: None to
+# accept, else the error class it raises)
 READ_CASES = [
     # rows
     ("short_row", _raw_csv(_GOOD, _GOOD[: _GOOD.rindex(",")]), FeatureSchema(), RowParseError),
@@ -297,35 +297,75 @@ READ_CASES = [
     # hard floats
     ("hard_floats", _raw_csv(_raw_row(features=_HARD_FLOATS), _raw_row(features=_HARD_FLOATS[::-1])),
      FeatureSchema(), None),
+    # identity and label cells
+    ("spaces_and_tabs_around_cells", _raw_csv(_raw_row(identity=" \t10.0.0.1 ", label="\tweb "), _GOOD),
+     FeatureSchema(), None),
+    ("non_ascii_cells", _raw_csv(_raw_row(identity="naïve-日本", label="ñandú"), _GOOD), FeatureSchema(), None),
+    ("empty_cells", _raw_csv(_raw_row(identity="", label=""), _GOOD), FeatureSchema(), None),
+    ("quoted_empty_cells", _raw_csv(_raw_row(identity='""', label='""'), _GOOD), FeatureSchema(), None),
+    ("quote_inside_cells", _raw_csv(_raw_row(identity='ab"c', label='"a"b'), _GOOD), FeatureSchema(), None),
+    ("bom_before_header", b"\xef\xbb\xbf" + _raw_csv(_GOOD), FeatureSchema(), SchemaError),
 ]
+
+
+def _read_outcome(read, path, schema):
+    """What ``read(path, schema)`` does with the file: its result, or the
+    class and message of the DataError it raises."""
+    try:
+        return read(path, schema)
+    except DataError as exc:
+        return type(exc), str(exc)
 
 
 @pytest.mark.parametrize(
     "raw, schema, refusal", [case[1:] for case in READ_CASES], ids=[case[0] for case in READ_CASES]
 )
 def test_read_features_matches_load_csv(tmp_path, raw, schema, refusal):
+    # The row reader is what load_csv was before numpy's reader took over,
+    # and still reads every file that reader does not take.
     path = tmp_path / "flows.csv"
     path.write_bytes(raw)
+    expected = _read_outcome(flow_data._read_rows, path, schema)
+    got = _read_outcome(read_features, path, schema)
     if refusal is None:
-        expected = load_csv(path, schema).features
-        got = read_features(path, schema)
-        assert got.dtype == np.float64 and got.shape == expected.shape
-        assert got.tobytes() == expected.tobytes()
+        assert got.dtype == np.float64 and got.shape == expected.features.shape
+        assert got.tobytes() == expected.features.tobytes()
         assert not got.flags.writeable
-        return
-    with pytest.raises(DataError) as reference:
-        load_csv(path, schema)
-    assert type(reference.value) is refusal
-    with pytest.raises(DataError) as got:
-        read_features(path, schema)
-    assert type(got.value) is refusal
-    assert str(got.value) == str(reference.value)
+    else:
+        assert expected[0] is refusal
+        assert got == expected
+
+
+@pytest.mark.parametrize(
+    "raw, schema, refusal", [case[1:] for case in READ_CASES], ids=[case[0] for case in READ_CASES]
+)
+def test_load_csv_matches_the_row_reader(tmp_path, raw, schema, refusal):
+    path = tmp_path / "flows.csv"
+    path.write_bytes(raw)
+    expected = _read_outcome(flow_data._read_rows, path, schema)
+    got = _read_outcome(load_csv, path, schema)
+    if refusal is None:
+        _assert_same_dataset(got, expected)
+    else:
+        assert expected[0] is refusal
+        assert got == expected
+
+
+def _assert_same_dataset(got: Dataset, expected: Dataset):
+    assert got.features.tobytes() == expected.features.tobytes() and got.features.shape == expected.features.shape
+    assert got.identities == expected.identities and list(got.identities) == list(expected.identities)
+    assert all(type(cell) is str for cells in got.identities.values() for cell in cells)
+    assert got.labels == expected.labels and got.class_names == expected.class_names
+    if expected.label_ids is None:
+        assert got.label_ids is None
+    else:
+        assert got.label_ids.tolist() == expected.label_ids.tolist()
 
 
 def test_read_features_nul_byte_follows_this_pythons_csv(tmp_path):
     # csv.reader refuses a NUL byte before Python 3.11 and keeps it in the
     # cell from 3.11 on. loadtxt keeps it too, so a file holding one is
-    # read by load_csv: evaluate refuses it on 3.10 and reads it on 3.11.
+    # read by the row reader: it is refused on 3.10 and read on 3.11.
     path = tmp_path / "flows.csv"
     path.write_bytes(_raw_csv(_GOOD, _raw_row(identity="10.0\x00.0.1")))
     if sys.version_info < (3, 11):
@@ -337,18 +377,35 @@ def test_read_features_nul_byte_follows_this_pythons_csv(tmp_path):
         assert read_features(path).tobytes() == load_csv(path).features.tobytes()
 
 
-def test_read_features_parses_written_csvs_without_load_csv(tmp_path, monkeypatch):
+def test_written_csvs_parse_without_the_row_reader(tmp_path, monkeypatch):
+    # Every equality test above would also pass if numpy's reader silently
+    # refused every file, so this one refuses the row reader instead.
     ds = generate_synthetic(30, default_class_specs(), seed=4)
-    identities = dict(ds.identities, src_ip=['a,"b"\r\nc'] * len(ds))  # quoted on write
+    # Both cells are quoted on write.
+    identities = dict(ds.identities, src_ip=['a,"b"\r\nc'] * len(ds), dst_ip=["naïve ,x"] * len(ds))
     ds = Dataset(ds.schema, ds.features, identities, ds.labels)
     path = tmp_path / "flows.csv"
     write_csv(ds, path)
 
     def refuse(*args):
-        raise AssertionError("read_features fell back to load_csv")
+        raise AssertionError("fell back to the row reader")
 
-    monkeypatch.setattr(flow_data, "load_csv", refuse)
+    monkeypatch.setattr(flow_data, "_read_rows", refuse)
     assert read_features(path, ds.schema).tobytes() == ds.features.tobytes()
+    _assert_same_dataset(load_csv(path, ds.schema), ds)
+
+
+def test_load_csv_reads_rows_when_its_two_parses_disagree(tmp_path, monkeypatch):
+    path = tmp_path / "flows.csv"
+    path.write_bytes(_raw_csv(_GOOD, _raw_row(identity="10.0.0.2")))
+    loadtxt = np.loadtxt
+
+    def drop_a_text_row(*args, **kwargs):
+        table = loadtxt(*args, **kwargs)
+        return table[1:] if kwargs["dtype"] is object else table
+
+    monkeypatch.setattr(np, "loadtxt", drop_a_text_row)
+    _assert_same_dataset(load_csv(path), flow_data._read_rows(path, FeatureSchema()))
 
 
 def _reference_format_number(v: float) -> str:

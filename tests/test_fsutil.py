@@ -137,6 +137,9 @@ def test_conforms():
     assert conforms({"x": [1, 2]}, dict[str, pair]) and not conforms({"x": [1]}, dict[str, pair])
     assert not conforms([["x", [1, 2]]], dict[str, pair])
     assert conforms([{}], list[FeatureSchema] | None) and not conforms([[]], list[FeatureSchema] | None)
+    # An int passes as a float only if float() can hold it.
+    assert conforms(2**1023, float) and conforms(10**400, int)
+    assert not conforms(10**400, float) and not conforms([-(10**400), 1], pair)
 
 
 def test_field():
