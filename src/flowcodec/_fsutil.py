@@ -35,9 +35,13 @@ _FRAME = struct.Struct("<II")
 def atomic_write(path: str | Path, mode: str = "w"):
     """Yield a file opened in ``mode`` ("w" for UTF-8 text, "wb" for bytes)
     on a temp file beside ``path``; rename it onto ``path`` when the body
-    finishes, and delete it if the body raises."""
+    finishes, and delete it if the body raises. An OSError from making or
+    renaming the temp file names ``path``, not the temp file."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
     try:
         mask = os.umask(0)
         os.umask(mask)
@@ -45,7 +49,10 @@ def atomic_write(path: str | Path, mode: str = "w"):
         text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
         with os.fdopen(fd, mode, **text) as fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)

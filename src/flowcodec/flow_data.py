@@ -11,7 +11,10 @@ and writer here and the `.fclz` container in `latent` take that order from it.
 `load_csv` reads a CSV through numpy's C reader, and through a row-by-row
 csv reader where numpy's might read the file otherwise or where a fault
 must be named; `read_features` reads only the feature matrix by the same
-rules, for a caller that needs nothing else.
+rules, for a caller that needs nothing else. `write_csv` writes each
+feature cell as ``str(int(v))`` or ``repr(v)``, byte for byte, through the
+vectorized formatter in `_float_text`; a cell whose repr has an exponent or
+more than 19 fraction digits goes through repr one cell at a time.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._float_text import format_rows
 from ._fsutil import atomic_write
 from .errors import ConfigError, DataError, EmptyDatasetError, RowParseError, SchemaError
 
@@ -324,7 +328,7 @@ def _loadtxt_table(path: Path, schema: FeatureSchema, text_columns: tuple[str, .
     return features, {c: text[:, j].tolist() for j, c in enumerate(text_columns)}
 
 
-_WRITE_ROWS = 8192  # rows formatted per block, to bound the strings held at once
+_WRITE_ROWS = 1024  # rows formatted per block: few enough that format_rows works in cache
 _NEEDS_QUOTES = re.compile(r'[,"\r\n]')
 
 
@@ -336,23 +340,14 @@ def _quote_minimal(cells: list[str]) -> list[str]:
     return ['"' + c.replace('"', '""') + '"' if _NEEDS_QUOTES.search(c) else c for c in cells]
 
 
-def _format_feature(column: np.ndarray) -> list[str]:
-    # Integral values print as ints so counts stay clean; everything else uses
-    # repr, which round-trips float64 exactly.
-    integral = (column == np.trunc(column)) & (np.abs(column) < 2**53)
-    cells = np.empty(column.shape[0], dtype=object)
-    cells[integral] = list(map(str, column[integral].astype(np.int64).tolist()))
-    cells[~integral] = list(map(repr, column[~integral].tolist()))
-    return cells.tolist()
-
-
 def write_csv(dataset: Dataset, path: str | Path) -> None:
     """Write a Dataset back out in schema column order, byte for byte as
-    `csv.writer` would: lines end in ``\\r\\n``, and identity and label
-    cells follow csv's QUOTE_MINIMAL rule (`_quote_minimal`). Feature cells
-    are ints or float reprs, formatted a column at a time, and never need
-    quotes; non-finite features are refused with DataError. Lines are joined
-    here because csv.writer takes about a third longer over the same cells."""
+    `csv.writer` would write the cells: lines end in ``\\r\\n``, and
+    identity and label cells follow csv's QUOTE_MINIMAL rule
+    (`_quote_minimal`). A feature cell is ``str(int(v))`` for an integral
+    ``|v| < 2**53`` and ``repr(v)`` otherwise; `_float_text.format_rows`
+    writes a block's feature cells at once and never needs quotes.
+    Non-finite features are refused with DataError."""
     if not np.isfinite(dataset.features).all():
         raise DataError(f"{path}: refusing to write non-finite feature values")
     schema = dataset.schema
@@ -362,7 +357,7 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
         for start in range(0, n, _WRITE_ROWS):
             block = slice(start, min(start + _WRITE_ROWS, n))
             columns = [_quote_minimal(dataset.identities[c][block]) for c in schema.identity_columns]
-            columns += [_format_feature(column) for column in dataset.features[block].T]
+            columns.append(format_rows(dataset.features[block]))
             if schema.label_column is not None:
                 labels = dataset.labels[block] if dataset.labels is not None else [""] * (block.stop - start)
                 columns.append(_quote_minimal(labels))

@@ -220,6 +220,19 @@ def test_missing_input_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_unwritable_output_exits_2_naming_the_path_given(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.csv"
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    for out, reason in [(missing, "No such file or directory"), (taken, "Is a directory")]:
+        code = main(["synth", "--n-per-class", "3", "--output", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and reason in err and repr(str(out)) in err
+        assert ".tmp" not in err
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
 def test_bad_config_exits_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{oops")
