@@ -562,7 +562,9 @@ def _synthetic_identities(
     rng: np.random.Generator,
 ) -> dict[str, list[str]]:
     base_ms = 1_700_000_000_000
-    first_seen = base_ms + rng.integers(0, 86_400_000, n)
+    # Cells are built from Python scalars (.tolist()), which format several
+    # times faster than numpy's; an int plus a float rounds as int64 + float64.
+    first_seen = (base_ms + rng.integers(0, 86_400_000, n)).tolist()
     duration = (
         block[:, col_pos["bidirectional_duration_ms"]]
         if "bidirectional_duration_ms" in col_pos
@@ -570,12 +572,12 @@ def _synthetic_identities(
     )
     octets = rng.integers(1, 255, size=(n, 4))
     generic = {
-        "src_ip": [f"10.0.{a}.{b}" for a, b in octets[:, :2]],
-        "dst_ip": [f"192.168.{a}.{b}" for a, b in octets[:, 2:]],
-        "src_port": [str(p) for p in rng.integers(1024, 65535, n)],
-        "dst_port": [str(p) for p in rng.choice([53, 80, 123, 443, 8080, 8443], n)],
-        "protocol": [str(p) for p in rng.choice([6, 17], n)],
-        "bidirectional_first_seen_ms": [str(int(t)) for t in first_seen],
-        "bidirectional_last_seen_ms": [str(int(t + d)) for t, d in zip(first_seen, duration)],
+        "src_ip": [f"10.0.{a}.{b}" for a, b in octets[:, :2].tolist()],
+        "dst_ip": [f"192.168.{a}.{b}" for a, b in octets[:, 2:].tolist()],
+        "src_port": [str(p) for p in rng.integers(1024, 65535, n).tolist()],
+        "dst_port": [str(p) for p in rng.choice([53, 80, 123, 443, 8080, 8443], n).tolist()],
+        "protocol": [str(p) for p in rng.choice([6, 17], n).tolist()],
+        "bidirectional_first_seen_ms": [str(t) for t in first_seen],
+        "bidirectional_last_seen_ms": [str(int(t + d)) for t, d in zip(first_seen, duration.tolist())],
     }
     return {c: generic[c] if c in generic else [f"{c}_{i}" for i in range(n)] for c in schema.identity_columns}

@@ -259,36 +259,62 @@ def _reference_train(xtr, xte, cfg, slope=0.2):
     return best, epochs, clipped
 
 
-@pytest.mark.parametrize("decoupled", [False, True])
-def test_train_matches_reference_loop_bit_for_bit(decoupled):
-    # 64 training rows in batches of 24 (the last one short); a clip norm
-    # that some steps exceed and others do not; a weight decay large enough
-    # to matter; and an improvement threshold no epoch can meet, so the rate
-    # halves from the third epoch on.
-    xtr, xte = tiny_data(n=80, seed=13)
-    cfg = tiny_config(max_epochs=4, batch_size=24, clip_max_norm=2.0, weight_decay=1e-2,
-                      decoupled_weight_decay=decoupled, plateau_patience=1,
+@pytest.mark.parametrize(
+    "decoupled, n, batch_size, max_epochs",
+    [
+        # 64 training rows in batches of 24, the last one short.
+        pytest.param(False, 80, 24, 4, id="False"),
+        pytest.param(True, 80, 24, 4, id="True"),
+        # The production batch size over 640 rows: 256, 256 and a short 128.
+        pytest.param(False, 800, 256, 2, id="batch256"),
+    ],
+)
+def test_train_matches_reference_loop_bit_for_bit(decoupled, n, batch_size, max_epochs):
+    # A clip norm that some steps exceed and others do not; a weight decay
+    # large enough to matter; and an improvement threshold no epoch can
+    # meet, so the rate halves from the third epoch on.
+    xtr, xte = tiny_data(n=n, seed=13)
+    cfg = tiny_config(max_epochs=max_epochs, batch_size=batch_size, clip_max_norm=2.0,
+                      weight_decay=1e-2, decoupled_weight_decay=decoupled, plateau_patience=1,
                       improvement_threshold=1e3)
     model, hist = train(xtr, xte, cfg)
     best, epochs, clipped = _reference_train(xtr, xte, cfg)
 
-    assert 0 < clipped < 12
-    assert len(hist.epochs) == len(epochs) == 4
+    n_train = xtr.shape[0]
+    rows = [batch_size] * (n_train // batch_size) + [n_train % batch_size]
+    assert 0 < rows[-1] < batch_size
+    assert 0 < clipped < max_epochs * len(rows)
+    assert len(hist.epochs) == len(epochs) == max_epochs
     for got, want in zip(model.layers, best):
         assert got.W.tobytes() == want[0].tobytes()
         assert got.b.tobytes() == want[1].tobytes()
     assert [e.test_loss for e in hist.epochs] == [e[0] for e in epochs]
     assert [e.learning_rate for e in hist.epochs] == [e[1] for e in epochs]
-    assert [e.learning_rate for e in hist.epochs] == [0.001, 0.001, 0.0005, 0.00025]
+    assert [e.learning_rate for e in hist.epochs] == [0.001, 0.001, 0.0005, 0.00025][:max_epochs]
     for e, (_, _, exact_train, batches) in zip(hist.epochs, epochs):
-        assert [rows for _, rows in batches] == [24, 24, 16]
+        assert [r for _, r in batches] == rows
         weighted = 0.0
-        for loss, rows in batches:
-            weighted += loss * rows
-        assert e.train_loss == weighted / 64
+        for loss, r in batches:
+            weighted += loss * r
+        assert e.train_loss == weighted / n_train
         # The running mean lags the weights it ends with, so it differs
         # from the exact end-of-epoch loss the parent recorded.
         assert e.train_loss != exact_train
+
+
+def test_encode_decode_match_the_reference_forward():
+    xtr, xte = tiny_data(seed=14)
+    model, _ = train(xtr, xte, tiny_config(max_epochs=2))
+    x = tiny_data(n=3750, seed=15)[0]
+    assert x.shape[0] == 3000
+    layers = [(l.W, l.b) for l in model.layers]
+    cache = []
+    _ref_forward(layers, x, model.slope, cache)
+    # The decoder's first input is the bottleneck's activated output.
+    z = cache[model.n_encoder][0]
+    assert encode(model, x).tobytes() == z.tobytes()
+    want = _ref_forward(layers[model.n_encoder :], z, model.slope)
+    assert decode(model, z).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- codec

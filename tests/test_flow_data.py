@@ -712,3 +712,52 @@ def test_generate_synthetic_deterministic_and_validated():
         generate_synthetic(10, specs[:1], seed=1)
     with pytest.raises(ConfigError, match="more than once"):
         generate_synthetic(10, [specs[0], specs[1], specs[0]], seed=1)
+
+
+def _reference_synthetic_identities(schema, block, col_pos, n, rng):
+    """The identity cells built from numpy scalars, one element at a time."""
+    first_seen = 1_700_000_000_000 + rng.integers(0, 86_400_000, n)
+    duration = (
+        block[:, col_pos["bidirectional_duration_ms"]]
+        if "bidirectional_duration_ms" in col_pos
+        else np.zeros(n)
+    )
+    octets = rng.integers(1, 255, size=(n, 4))
+    generic = {
+        "src_ip": [f"10.0.{a}.{b}" for a, b in octets[:, :2]],
+        "dst_ip": [f"192.168.{a}.{b}" for a, b in octets[:, 2:]],
+        "src_port": [str(p) for p in rng.integers(1024, 65535, n)],
+        "dst_port": [str(p) for p in rng.choice([53, 80, 123, 443, 8080, 8443], n)],
+        "protocol": [str(p) for p in rng.choice([6, 17], n)],
+        "bidirectional_first_seen_ms": [str(int(t)) for t in first_seen],
+        "bidirectional_last_seen_ms": [str(int(t + d)) for t, d in zip(first_seen, duration)],
+    }
+    return {c: generic[c] if c in generic else [f"{c}_{i}" for i in range(n)] for c in schema.identity_columns}
+
+
+@pytest.mark.parametrize("with_duration", [True, False])
+def test_synthetic_identities_match_the_scalar_loop(with_duration):
+    # Durations whose sum with a first-seen time rounds: halves, values just
+    # below an integer, tiny and huge ones, and lognormal draws like synth's.
+    n = 4000
+    # Without a duration column every last-seen cell is first-seen + 0.0.
+    cols = tuple(
+        c if with_duration or c != "bidirectional_duration_ms" else "duration"
+        for c in DEFAULT_COMPRESSIBLE_COLUMNS
+    )
+    schema = FeatureSchema(
+        identity_columns=DEFAULT_IDENTITY_COLUMNS + ("flow_id",), compressible_columns=cols
+    )
+    col_pos = {c: i for i, c in enumerate(cols)}
+    gen = np.random.default_rng(11)
+    block = gen.lognormal(5.0, 3.0, size=(n, len(cols)))
+    if with_duration:
+        j = col_pos["bidirectional_duration_ms"]
+        edges = [0.5, 1.5, 0.25, 0.75, 1 - 2**-40, 2**-1074, 1e-300, 0.0, 1e15, 2.0**53, 123456.5]
+        block[: len(edges), j] = edges
+        block[len(edges) : 2 * len(edges), j] = np.nextafter(edges, np.inf)
+    got = flow_data._synthetic_identities(schema, block, col_pos, n, np.random.default_rng(5))
+    want = _reference_synthetic_identities(schema, block, col_pos, n, np.random.default_rng(5))
+    assert list(got) == list(want) == list(schema.identity_columns)
+    for c in want:
+        assert got[c] == want[c], c

@@ -36,6 +36,19 @@ def test_leaky_relu_grad_values():
     assert np.allclose(leaky_relu_grad(x, SLOPE), [0.2, 0.2, 1.0])
 
 
+@pytest.mark.parametrize("slope", [0.2, 0.01, 0.99])
+def test_leaky_relu_grad_matches_where_on_edge_values(slope):
+    # The gradient must be exactly 1.0 or the slope, as np.where gives, also
+    # at signed zeros, NaN, infinities and subnormals.
+    edges = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0])
+    pre = np.tile(edges, (7, 1))
+    da = np.random.default_rng(4).standard_normal(pre.shape)
+    da[0] = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0]
+    want = np.where(pre > 0.0, 1.0, slope)
+    assert (da * leaky_relu_grad(pre, slope)).tobytes() == (da * want).tobytes()
+    assert leaky_relu_grad(pre, slope).tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------- huber
 
 
@@ -85,6 +98,8 @@ def test_forward_shapes_and_validation():
         forward(layers, [True], x, SLOPE)
     with pytest.raises(DataError, match="layer 0"):
         forward(layers, [True, False], np.ones((5, 3)), SLOPE)
+    with pytest.raises(DataError, match="slope"):
+        forward(layers, [True, False], x, 1.5)
 
 
 def test_backward_rejects_stale_cache():
