@@ -255,23 +255,18 @@ def save_row_percent_errors(
     empty for a row with none."""
     y, yhat = _pair(original, reconstructed)
     nonzero = y != 0.0
-    excluded = y.shape[1] - np.count_nonzero(nonzero, axis=1)
+    kept = np.count_nonzero(nonzero, axis=1)
     values = np.full(y.shape[0], None, dtype=object)
-    # One row-wise mean per zero pattern. Each row of a gathered block is
-    # contiguous, so it sums in the same order as a mean over that row alone.
-    # Bit-packed rows sort several times faster than boolean ones.
-    packed, group, counts = np.unique(
-        np.packbits(nonzero, axis=1), axis=0, return_inverse=True, return_counts=True
-    )
-    patterns = np.unpackbits(packed, axis=1, count=y.shape[1]).astype(bool)
-    members = np.split(np.argsort(group.reshape(-1), kind="stable"), np.cumsum(counts)[:-1])
-    for mask, rows in zip(patterns, members):
-        if mask.any():
-            block = np.ix_(rows, np.flatnonzero(mask))
-            means = 100.0 * np.mean(np.abs((y[block] - yhat[block]) / y[block]), axis=1)
-            values[rows] = means
+    # One row-wise mean per count of kept features, so at most one per
+    # column. Masking a group's rows keeps each row's k cells contiguous and
+    # in order, so a row sums in the same order as a mean over that row alone.
+    for k in np.unique(kept[kept > 0]).tolist():
+        rows = np.flatnonzero(kept == k)
+        mask = nonzero[rows]
+        block = y[rows][mask].reshape(-1, k)
+        values[rows] = 100.0 * np.mean(np.abs((block - yhat[rows][mask].reshape(-1, k)) / block), axis=1)
     write_table(
         path,
         ["row", "mean_abs_percent_error", "excluded_zero_features"],
-        zip(range(y.shape[0]), values.tolist(), excluded.tolist()),
+        zip(range(y.shape[0]), values.tolist(), (y.shape[1] - kept).tolist()),
     )

@@ -8,13 +8,14 @@ optional class label used by the downstream classifier.
 `Dataset` is the one in-memory model of those records, stored by column.
 `FeatureSchema` decides which columns exist and in what order; the CSV reader
 and writer here and the `.fclz` container in `latent` take that order from it.
-`load_csv` reads a CSV through numpy's C reader, and through a row-by-row
-csv reader where numpy's might read the file otherwise or where a fault
-must be named; `read_features` reads only the feature matrix by the same
-rules, for a caller that needs nothing else. `write_csv` writes each
-feature cell as ``str(int(v))`` or ``repr(v)``, byte for byte, through the
-vectorized formatter in `_float_text`; a cell whose repr has an exponent or
-more than 19 fraction digits goes through repr one cell at a time.
+`load_csv` reads a CSV in one np.loadtxt call, which parses the features in
+C and keeps the text cells verbatim, and through a row-by-row csv reader
+where numpy's might read the file otherwise or where a fault must be named;
+`read_features` reads only the feature matrix by the same rules, for a
+caller that needs nothing else. `write_csv` writes each feature cell as
+``str(int(v))`` or ``repr(v)``, byte for byte, through the vectorized
+formatter in `_float_text`; a cell whose repr has an exponent or more than
+19 fraction digits goes through repr one cell at a time.
 """
 
 from __future__ import annotations
@@ -249,10 +250,6 @@ def _read_rows(path: Path, schema: FeatureSchema) -> Dataset:
     return Dataset(schema, np.array(feature_rows, dtype=np.float64), identities, labels)
 
 
-# One row as _loadtxt_table asks np.loadtxt for its features: the feature
-# cells, then the cell of the rightmost schema column, read only so that a
-# row that stops short of it is refused as _read_rows refuses it.
-_FEATURE_ROW = np.dtype([("f", np.float64, (N_FEATURES,)), ("w", "U1")])
 # Bytes on which np.loadtxt and csv.reader with float() can disagree: NUL,
 # which csv refuses before Python 3.11, and 0x1C-0x1F, which numpy strips
 # from a number as whitespace where float() refuses it.
@@ -283,49 +280,46 @@ def _loadtxt_agrees(data: bytes) -> bool:
 
 
 def _loadtxt_table(path: Path, schema: FeatureSchema, text_columns: tuple[str, ...]):
-    """(feature matrix, {column: its cells}) of the CSV at ``path`` as
-    numpy's C reader parses it, with the verbatim cells of each of
+    """(feature matrix, {column: its cells}) of the CSV at ``path`` as one
+    np.loadtxt call parses it, with the verbatim cells of each of
     ``text_columns`` as a list of str; or None where `_read_rows` must read
-    the file: loadtxt refuses it, finds no rows or a non-finite value, its
-    two parses disagree on the row count, or it might read the file
-    otherwise than csv.reader (`_loadtxt_agrees`). A header is refused by
-    the same check in both readers.
+    the file: loadtxt refuses it, finds no rows or a non-finite value, or it
+    might read the file otherwise than csv.reader (`_loadtxt_agrees`). A
+    header is refused by the same check in both readers.
 
-    The features come from one structured parse, the text cells from a
-    second, object-dtype parse over the same open file. Cells stay Python
-    str, not a fixed-width numpy string, which one long cell would widen
-    for every row.
+    Each row is one record: the features as float64 (``f``), the text cells
+    as Python str (``t``), not a fixed-width numpy string, which one long
+    cell would widen for every row. Where no parsed column is the rightmost
+    schema column, its cell (``w``) is read too, only so that a row that
+    stops short of it is refused as _read_rows refuses it.
     """
     if not _loadtxt_agrees(path.read_bytes()):
         return None
-    text = None
     with open(path, newline="", encoding="utf-8") as fh:
         try:
             col_index = _header_index(csv.reader(fh), path, schema)
-            usecols = [col_index[c] for c in schema.compressible_columns]
-            usecols.append(max(col_index[c] for c in schema.all_columns))
+            usecols = [col_index[c] for c in schema.compressible_columns + text_columns]
+            fields = [("f", np.float64, (N_FEATURES,))]
+            if text_columns:
+                fields.append(("t", object, (len(text_columns),)))
+            rightmost = max(col_index[c] for c in schema.all_columns)
+            if rightmost not in usecols:
+                usecols.append(rightmost)
+                fields.append(("w", "U1"))
             with warnings.catch_warnings():
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
                 table = np.loadtxt(
-                    fh, dtype=_FEATURE_ROW, delimiter=",", quotechar='"', comments=None,
+                    fh, dtype=np.dtype(fields), delimiter=",", quotechar='"', comments=None,
                     usecols=usecols, ndmin=1,
                 )
-                if text_columns:
-                    fh.seek(0)
-                    _header_index(csv.reader(fh), path, schema)
-                    text = np.loadtxt(
-                        fh, dtype=object, delimiter=",", quotechar='"', comments=None,
-                        usecols=[col_index[c] for c in text_columns], ndmin=2,
-                    )
         except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
             return None
     if len(table) == 0 or not np.isfinite(table["f"]).all():
         return None
-    if text is not None and len(text) != len(table):
-        return None
     features = np.ascontiguousarray(table["f"])
     features.setflags(write=False)
-    return features, {c: text[:, j].tolist() for j, c in enumerate(text_columns)}
+    cells = table["t"].T.tolist() if text_columns else []
+    return features, dict(zip(text_columns, cells))
 
 
 _WRITE_ROWS = 1024  # rows formatted per block: few enough that format_rows works in cache

@@ -73,15 +73,6 @@ class DecisionTree:
     def n_nodes(self) -> int:
         return int(self.feature.shape[0])
 
-    @property
-    def depth(self) -> int:
-        depths = np.zeros(self.n_nodes, dtype=np.int64)
-        for node in range(self.n_nodes):
-            if self.feature[node] >= 0:
-                depths[self.left[node]] = depths[node] + 1
-                depths[self.right[node]] = depths[node] + 1
-        return int(depths.max())
-
 
 def _checked_inputs(X: np.ndarray, y: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
     """X as contiguous float64 and y as int64, or DataError if the shapes

@@ -273,3 +273,16 @@ def test_row_percent_errors_match_the_per_row_reference(tmp_path):
         path = tmp_path / "rows.csv"
         save_row_percent_errors(rows, recon, path)
         assert path.read_bytes() == _reference_save_row_percent_errors(rows, recon)
+
+
+def test_row_percent_errors_match_the_reference_for_every_kept_count(tmp_path):
+    # Rows are grouped by how many features they keep; row i keeps i % 22,
+    # each at its own scattered positions, so every group from 0 to 21 shows.
+    rng = np.random.default_rng(5)
+    y = rng.lognormal(1.0, 2.0, (220, 21))
+    yhat = y * rng.normal(1.0, 0.2, y.shape)
+    for i in range(len(y)):
+        y[i, rng.permutation(21)[: 21 - i % 22]] = 0.0
+    path = tmp_path / "rows.csv"
+    save_row_percent_errors(y, yhat, path)
+    assert path.read_bytes() == _reference_save_row_percent_errors(y, yhat)

@@ -222,6 +222,9 @@ def test_load_csv_keeps_finite_rows_whose_sum_overflows(tmp_path):
 # ---------------------------------------------------------------- read_features
 
 _UNLABELED = FeatureSchema(label_column=None)
+# numpy's reader reads these two with a one-wide text field and with none.
+_ONE_IDENTITY = FeatureSchema(identity_columns=("flow_id",), label_column=None)
+_FEATURES_ONLY = FeatureSchema(identity_columns=(), label_column=None)
 _FIELD_LIMIT = csv.field_size_limit()
 
 
@@ -260,6 +263,16 @@ READ_CASES = [
     ("short_row", _raw_csv(_GOOD, _GOOD[: _GOOD.rindex(",")]), FeatureSchema(), RowParseError),
     ("short_row_unlabeled", _raw_csv(_raw_row(_UNLABELED), _raw_row(_UNLABELED)[: -len(",20.5")], schema=_UNLABELED),
      _UNLABELED, RowParseError),
+    ("one_identity_no_label", _raw_csv(_raw_row(_ONE_IDENTITY, identity='"a,b"'), _raw_row(_ONE_IDENTITY),
+                                       schema=_ONE_IDENTITY), _ONE_IDENTITY, None),
+    ("one_identity_short_row",
+     _raw_csv(_raw_row(_ONE_IDENTITY), _raw_row(_ONE_IDENTITY)[: -len(",20.5")], schema=_ONE_IDENTITY),
+     _ONE_IDENTITY, RowParseError),
+    ("features_only", _raw_csv(_raw_row(_FEATURES_ONLY), _raw_row(_FEATURES_ONLY), schema=_FEATURES_ONLY),
+     _FEATURES_ONLY, None),
+    ("features_only_short_row",
+     _raw_csv(_raw_row(_FEATURES_ONLY), _raw_row(_FEATURES_ONLY)[: -len(",20.5")], schema=_FEATURES_ONLY),
+     _FEATURES_ONLY, RowParseError),
     ("extra_trailing_cells", _raw_csv(_GOOD, _GOOD + ",x,9"), FeatureSchema(), None),
     ("blank_line", _raw_csv(_GOOD, "", _GOOD), FeatureSchema(), None),
     ("whitespace_only_line", _raw_csv(_GOOD, "  \t", _GOOD), FeatureSchema(), RowParseError),
@@ -291,6 +304,9 @@ READ_CASES = [
     ("invalid_utf8_row", _raw_csv(*[_GOOD] * 60) + b"\xff" + _GOOD.encode(),
      FeatureSchema(), DataError),
     ("invalid_utf8_header", b"\xff" + _raw_csv(_GOOD), FeatureSchema(), DataError),
+    # a fixed-width string field would cut these cells; both are within the limit
+    ("long_cell_within_the_field_limit", _raw_csv(_raw_row(identity="a" * 5000, label='"' + "b," * 3000 + '"'), _GOOD),
+     FeatureSchema(), None),
     # csv refuses a cell longer than its field size limit; loadtxt has none
     ("long_unquoted_cell", _raw_csv(_raw_row(identity="a" * (_FIELD_LIMIT + 1))), FeatureSchema(), DataError),
     ("long_quoted_cell", _raw_csv(_raw_row(identity='"' + "a,\n" * (_FIELD_LIMIT // 3 + 1) + '"')),
@@ -379,13 +395,18 @@ def test_read_features_nul_byte_follows_this_pythons_csv(tmp_path):
         assert read_features(path).tobytes() == load_csv(path).features.tobytes()
 
 
-def test_written_csvs_parse_without_the_row_reader(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "schema", [FeatureSchema(), _UNLABELED, _ONE_IDENTITY, _FEATURES_ONLY],
+    ids=["default", "unlabeled", "one_identity", "features_only"],
+)
+def test_written_csvs_parse_without_the_row_reader(tmp_path, monkeypatch, schema):
     # Every equality test above would also pass if numpy's reader silently
     # refused every file, so this one refuses the row reader instead.
-    ds = generate_synthetic(30, default_class_specs(), seed=4)
-    # Both cells are quoted on write.
-    identities = dict(ds.identities, src_ip=['a,"b"\r\nc'] * len(ds), dst_ip=["naïve ,x"] * len(ds))
-    ds = Dataset(ds.schema, ds.features, identities, ds.labels)
+    ds = generate_synthetic(30, default_class_specs(), seed=4, schema=schema)
+    identities = dict(ds.identities)
+    for c, cell in zip(schema.identity_columns, ['a,"b"\r\nc', "naïve ,x"]):
+        identities[c] = [cell] * len(ds)  # both cells are quoted on write
+    ds = Dataset(schema, ds.features, identities, ds.labels)
     path = tmp_path / "flows.csv"
     write_csv(ds, path)
 
@@ -393,21 +414,8 @@ def test_written_csvs_parse_without_the_row_reader(tmp_path, monkeypatch):
         raise AssertionError("fell back to the row reader")
 
     monkeypatch.setattr(flow_data, "_read_rows", refuse)
-    assert read_features(path, ds.schema).tobytes() == ds.features.tobytes()
-    _assert_same_dataset(load_csv(path, ds.schema), ds)
-
-
-def test_load_csv_reads_rows_when_its_two_parses_disagree(tmp_path, monkeypatch):
-    path = tmp_path / "flows.csv"
-    path.write_bytes(_raw_csv(_GOOD, _raw_row(identity="10.0.0.2")))
-    loadtxt = np.loadtxt
-
-    def drop_a_text_row(*args, **kwargs):
-        table = loadtxt(*args, **kwargs)
-        return table[1:] if kwargs["dtype"] is object else table
-
-    monkeypatch.setattr(np, "loadtxt", drop_a_text_row)
-    _assert_same_dataset(load_csv(path), flow_data._read_rows(path, FeatureSchema()))
+    assert read_features(path, schema).tobytes() == ds.features.tobytes()
+    _assert_same_dataset(load_csv(path, schema), ds)
 
 
 def _reference_format_number(v: float) -> str:

@@ -192,14 +192,23 @@ def test_tree_pure_input_is_single_leaf():
     assert np.array_equal(tree.class_counts[0], [20, 0])
 
 
+def _tree_depth(tree) -> int:
+    """Edges on the longest root-to-leaf path, from the child arrays."""
+    depths = np.zeros(tree.n_nodes, dtype=np.int64)
+    for node in range(tree.n_nodes):  # preorder: a parent comes before its children
+        if tree.feature[node] >= 0:
+            depths[[tree.left[node], tree.right[node]]] = depths[node] + 1
+    return int(depths.max())
+
+
 def test_tree_max_depth_limits_growth():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(200, 4))
     y = rng.integers(0, 3, size=200).astype(np.int64)
     tree = fit_tree(X, y, n_classes=3, params=TreeParams(max_depth=2), seed=0)
-    assert tree.depth <= 2
+    assert _tree_depth(tree) <= 2
     deep = fit_tree(X, y, n_classes=3, seed=0)
-    assert deep.depth > 2
+    assert _tree_depth(deep) > 2
 
 
 def test_tree_min_samples_split():
