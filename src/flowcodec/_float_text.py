@@ -185,9 +185,11 @@ _ZERO = _SEPARATOR + 4
 _BLANK = _NO_LEAD  # the word of 0 in that style has no characters
 
 
-def format_rows(block: np.ndarray) -> list[str]:
+def format_rows(block: np.ndarray, as_repr: bool = False) -> list[str]:
     """Each row of the finite float64 matrix ``block`` as its cells joined by
     ",": ``str(int(v))`` for an integral v with |v| < 2**53, else ``repr(v)``.
+    With ``as_repr``, every cell is ``repr(v)``: an integral v gets its
+    ``.0`` and -0.0 its sign.
 
     A cell's slot is ten words: separator and sign, four groups of integer
     digits, then five of fraction digits of which the first holds the point."""
@@ -205,12 +207,14 @@ def format_rows(block: np.ndarray) -> list[str]:
     frac[work] = np.where(fits, w_frac, _U(0))
     by_repr = ~integral
     by_repr[work] = ~fits
-    pointed = ~integral & ~by_repr
+    # A fraction of 0 is written ".0".
+    pointed = ~by_repr if as_repr else ~integral & ~by_repr
+    negative = np.signbit(x) if as_repr else x < 0
 
     idx = np.empty((n, 10), dtype=np.intp)
     separator = np.full((rows, cols), _SEPARATOR)
     separator[:, 0] += 2  # a row starts after "\n"
-    idx[:, 0] = separator.ravel() + ((x < 0) & ~by_repr)
+    idx[:, 0] = separator.ravel() + (negative & ~by_repr)
     hi, lo = (part.astype(np.intp) for part in np.divmod(whole, _U(10**8)))
     idx[:, 1] = _NO_LEAD + hi // 10_000
     idx[:, 2] = np.where(whole < _U(10**12), _NO_LEAD, _FULL) + hi % 10_000

@@ -7,14 +7,24 @@ loss with Adam, global-norm gradient clipping, plateau-driven learning rate
 halving and early stopping; the returned model is the weights snapshot from
 the best test-loss epoch.
 
+Precision is split as in mixed-precision training (Micikevicius et al.,
+ICLR 2018): every training step (forward with its cache, the Huber loss
+and its gradient, backward, clipping and Adam) runs in float32, on a
+float32 copy of the training matrix, float32 weights and float32 Adam
+moments. The weights are drawn in float64 and then cast. Each epoch's test
+loss runs in float64, on float64 copies of that epoch's weights, and the
+copy of the best epoch is the returned model. So the saved ``.fcae`` file,
+`encode` and `decode` are float64, as they were when training ran in
+float64, and a model saved then loads and gives the same outputs.
+
 Each epoch writes one row of ``training_history.csv``:
 
 - ``train_loss``: the running batch mean. Each batch's mean Huber loss is
   taken from the forward pass its step already ran, before that step's
   Adam update, and the epoch's value is their mean weighted by batch rows.
   It is a diagnostic; nothing in training reads it.
-- ``test_loss``: the exact mean Huber loss on the test matrix with the
-  weights at the end of the epoch. The scheduler, early stopping and the
+- ``test_loss``: the exact float64 mean Huber loss on the test matrix with
+  the weights at the end of the epoch. The scheduler, early stopping and the
   best-epoch snapshot read this column only.
 - ``learning_rate``: the rate every step of the epoch used.
 - ``seconds``: the epoch's wall time. It is outside the determinism
@@ -165,6 +175,12 @@ class EarlyStopper:
         return self.stale_epochs >= self.patience
 
 
+def _cast(layers: list[DenseLayer], dtype) -> list[DenseLayer]:
+    """New layers holding ``layers``' weights as ``dtype``, with fresh Adam
+    moments of that dtype."""
+    return [DenseLayer(W=l.W.astype(dtype), b=l.b.astype(dtype)) for l in layers]
+
+
 def train(
     train_matrix: np.ndarray,
     test_matrix: np.ndarray,
@@ -178,12 +194,16 @@ def train(
     """Train the autoencoder on preprocessed feature matrices.
 
     Each epoch runs a seeded shuffle of the training rows through batched
-    forward/backward/clip/Adam, then evaluates the exact mean Huber loss on
-    the test matrix, which alone drives the scheduler, early stopping and
-    the returned snapshot. ``train_loss`` is the running batch mean, each
-    batch scored before its step's update, so no pass over the training
-    matrix runs; ``seconds`` is wall time, outside the determinism
-    contract. Raises DivergenceError if either loss goes non-finite.
+    float32 forward/backward/clip/Adam, then evaluates the exact mean Huber
+    loss on the test matrix in float64, with float64 copies of the
+    weights; that loss alone drives the scheduler, early stopping and the
+    returned snapshot, which is the copy it was computed with. The initial
+    weights are drawn in float64 and then cast, so the seed picks the same
+    starting point as a float64 run. ``train_loss`` is the running batch
+    mean, each batch scored before its step's update, so no pass over the
+    training matrix runs; ``seconds`` is wall time, outside the determinism
+    contract. Raises DivergenceError if either loss goes non-finite, which
+    includes a training value beyond float32's range.
     """
     train_matrix = np.asarray(train_matrix, dtype=np.float64)
     test_matrix = np.asarray(test_matrix, dtype=np.float64)
@@ -204,7 +224,7 @@ def train(
 
     root = np.random.SeedSequence(config.seed)
     init_ss, shuffle_ss = root.spawn(2)
-    layers = init_layers(dims, slope, init_ss)
+    layers = _cast(init_layers(dims, slope, init_ss), np.float32)
     rng = np.random.default_rng(shuffle_ss)
 
     scheduler = PlateauScheduler(
@@ -222,17 +242,20 @@ def train(
     best_epoch = 0
     best_weights: list[DenseLayer] | None = None
     step_count = 0
+    # Overflow on the way to divergence is expected; the explicit
+    # finiteness check below turns it into DivergenceError. A training value
+    # beyond float32's range casts to inf and ends there too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        train32 = train_matrix.astype(np.float32)
 
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
         lr = scheduler.lr
         perm = rng.permutation(n)
         loss_sum = 0.0
-        # Overflow on the way to divergence is expected; the explicit
-        # finiteness check below turns it into DivergenceError.
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, n, config.batch_size):
-                batch = train_matrix[perm[start : start + config.batch_size]]
+                batch = train32[perm[start : start + config.batch_size]]
                 out, cache = forward(layers, activations, batch, slope, with_cache=True)
                 loss_sum += huber_loss(batch, out, config.huber_delta) * batch.shape[0]
                 grad_out = huber_loss_grad(batch, out, config.huber_delta)
@@ -242,7 +265,8 @@ def train(
                 adam_step(layers, grads, config, step_count, learning_rate=lr)
 
             train_loss = loss_sum / n
-            test_loss = huber_loss(test_matrix, forward(layers, activations, test_matrix, slope), config.huber_delta)
+            weights = _cast(layers, np.float64)
+            test_loss = huber_loss(test_matrix, forward(weights, activations, test_matrix, slope), config.huber_delta)
         if not (np.isfinite(train_loss) and np.isfinite(test_loss)):
             raise DivergenceError(epoch)
         history.append(EpochStats(epoch, train_loss, test_loss, lr, time.perf_counter() - t0))
@@ -250,7 +274,7 @@ def train(
         if test_loss < best_loss:
             best_loss = test_loss
             best_epoch = epoch
-            best_weights = [l.copy_weights() for l in layers]
+            best_weights = weights
 
         scheduler.step(test_loss)
         if stopper.step(test_loss):

@@ -12,7 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fsutil import undefined_as_none, write_json, write_table
+from ._float_text import format_rows
+from ._fsutil import atomic_write, undefined_as_none, write_json, write_table
 from .errors import DataError
 
 DEFAULT_KL_BINS = 50
@@ -248,15 +249,22 @@ def build_report(
     )
 
 
+_FORMAT_ROWS = 8192  # means formatted per format_rows call, to bound its temporaries
+
+
 def save_row_percent_errors(
     original: np.ndarray, reconstructed: np.ndarray, path: str | Path
 ) -> None:
     """Raw per-row dump: mean |percent error| over nonzero-denominator features,
-    empty for a row with none."""
+    empty for a row with none.
+
+    The bytes are those `write_table` would write (``\r\n`` line ends, a
+    mean as its repr), but the means are formatted by
+    `_float_text.format_rows` a block at a time rather than one repr each."""
     y, yhat = _pair(original, reconstructed)
     nonzero = y != 0.0
     kept = np.count_nonzero(nonzero, axis=1)
-    values = np.full(y.shape[0], None, dtype=object)
+    means = np.zeros(y.shape[0])
     # One row-wise mean per count of kept features, so at most one per
     # column. Masking a group's rows keeps each row's k cells contiguous and
     # in order, so a row sums in the same order as a mean over that row alone.
@@ -264,9 +272,15 @@ def save_row_percent_errors(
         rows = np.flatnonzero(kept == k)
         mask = nonzero[rows]
         block = y[rows][mask].reshape(-1, k)
-        values[rows] = 100.0 * np.mean(np.abs((block - yhat[rows][mask].reshape(-1, k)) / block), axis=1)
-    write_table(
-        path,
-        ["row", "mean_abs_percent_error", "excluded_zero_features"],
-        zip(range(y.shape[0]), values.tolist(), (y.shape[1] - kept).tolist()),
-    )
+        means[rows] = 100.0 * np.mean(np.abs((block - yhat[rows][mask].reshape(-1, k)) / block), axis=1)
+    cells = np.full(y.shape[0], "", dtype=object)
+    defined = np.flatnonzero(kept)
+    for start in range(0, defined.size, _FORMAT_ROWS):
+        rows = defined[start : start + _FORMAT_ROWS]
+        cells[rows] = format_rows(means[rows, None], as_repr=True)
+    with atomic_write(path) as fh:
+        fh.write("row,mean_abs_percent_error,excluded_zero_features\r\n")
+        fh.writelines(
+            f"{i},{cell},{excluded}\r\n"
+            for i, cell, excluded in zip(range(y.shape[0]), cells.tolist(), (y.shape[1] - kept).tolist())
+        )

@@ -4,6 +4,12 @@ Everything here is plain numpy and deterministic: seeded initialization,
 LeakyReLU activations, mean Huber loss, global-norm gradient clipping and
 Adam with L2-coupled weight decay. A full training step is a pure function
 of (parameters, batch, step count, seed).
+
+Every kernel computes in the dtype of the arrays it is given: float32
+layers, batches, gradients and Adam moments stay float32, and float64 ones
+stay float64. Scalars enter as Python floats, which numpy never lets widen
+an array (a numpy float64 scalar would, under numpy 2's promotion rules).
+`huber_loss` alone returns a Python float, averaged in float64.
 """
 
 from __future__ import annotations
@@ -14,6 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
+
+_FLOAT32_TINY = float(np.finfo(np.float32).tiny)
 
 
 @dataclass
@@ -43,9 +51,6 @@ class DenseLayer:
     @property
     def fan_out(self) -> int:
         return self.W.shape[0]
-
-    def copy_weights(self) -> "DenseLayer":
-        return DenseLayer(W=self.W.copy(), b=self.b.copy())
 
 
 @dataclass
@@ -77,6 +82,15 @@ class TrainConfig:
             raise DataError("adam_beta1 and adam_beta2 must be in [0, 1)")
         if self.learning_rate <= 0 or self.min_lr <= 0:
             raise DataError("learning rates must be positive")
+        if self.min_lr > self.learning_rate:
+            # A plateau "halving" would raise the rate to min_lr.
+            raise DataError(
+                f"min_lr must not exceed learning_rate, got {self.min_lr} > {self.learning_rate}"
+            )
+        if self.improvement_threshold < 0:
+            # Every epoch would count as an improvement, so neither the
+            # scheduler nor early stopping would ever act.
+            raise DataError(f"improvement_threshold must be >= 0, got {self.improvement_threshold}")
         if not 0.0 < self.plateau_factor < 1.0:
             raise DataError("plateau_factor must be in (0, 1)")
         for name in ("batch_size", "max_epochs", "plateau_patience", "early_stop_patience"):
@@ -84,6 +98,15 @@ class TrainConfig:
                 raise DataError(f"{name} must be positive")
         if min(self.huber_delta, self.clip_max_norm, self.adam_epsilon) <= 0:
             raise DataError("huber_delta, clip_max_norm and adam_epsilon must be positive")
+        if self.adam_epsilon < _FLOAT32_TINY:
+            # In a float32 step it is subnormal or 0. Where a gradient's
+            # square underflows to 0, m / eps then overflows (a gradient of
+            # 1e-25 moved a weight by -1e11 at 1e-39), and below about
+            # 1.4e-45 a zero gradient gets a 0/0 update.
+            raise DataError(
+                f"adam_epsilon must be at least {_FLOAT32_TINY} (float32's smallest normal), "
+                f"got {self.adam_epsilon}"
+            )
 
 
 def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
@@ -105,26 +128,31 @@ def leaky_relu_grad(pre_activation: np.ndarray, slope: float) -> np.ndarray:
     """1.0 where pre_activation > 0, else ``slope``, for a slope in (0, 1).
 
     The sub-gradient at exactly 0 (and at NaN) is the slope, fixed for
-    determinism. This is max(float(pre > 0), slope): 1.0 or slope exactly,
-    as ``np.where(pre > 0, 1.0, slope)`` gives, but ``where`` over a mask
-    whose signs look random runs a branchy loop about six times slower than
-    ``maximum``'s. ``dtype`` casts the mask inside the ufunc, so no second
-    float array is made.
+    determinism. This is max(float(pre > 0), slope) in the pre-activation's
+    dtype: 1.0 or the slope rounded to that dtype, as
+    ``np.where(pre > 0, 1.0, slope)`` cast to it gives, but ``where`` over a
+    mask whose signs look random runs a branchy loop about six times slower
+    than ``maximum``'s. ``dtype`` casts the mask inside the ufunc, so no
+    second float array is made.
     """
-    return np.maximum(pre_activation > 0.0, slope, dtype=np.float64)
+    return np.maximum(pre_activation > 0.0, slope, dtype=pre_activation.dtype)
 
 
 def huber_loss(y: np.ndarray, yhat: np.ndarray, delta: float) -> float:
-    """Mean over all elements of the Huber penalty on residuals y - yhat."""
-    y = np.asarray(y, dtype=np.float64)
-    yhat = np.asarray(yhat, dtype=np.float64)
+    """Mean over all elements of the Huber penalty on residuals y - yhat.
+
+    The penalty is computed elementwise in the inputs' dtype (float32 for a
+    training batch) and summed in float64, so the mean of a float32 batch is
+    not cut to float32 and no float64 copy of the batch is made."""
+    y = np.asarray(y)
+    yhat = np.asarray(yhat)
     if y.shape != yhat.shape:
         raise DataError(f"shape mismatch: {y.shape} vs {yhat.shape}")
     r = y - yhat
     a = np.abs(r)
     quad = 0.5 * r * r
     lin = delta * (a - 0.5 * delta)
-    return float(np.mean(np.where(a <= delta, quad, lin)))
+    return float(np.mean(np.where(a <= delta, quad, lin), dtype=np.float64))
 
 
 def huber_loss_grad(y: np.ndarray, yhat: np.ndarray, delta: float) -> np.ndarray:
@@ -153,13 +181,14 @@ def forward(
     slope: float,
     with_cache: bool = False,
 ):
-    """Run a stack of affine layers with optional LeakyReLU after each.
+    """Run a stack of affine layers with optional LeakyReLU after each, in
+    the dtype of the first layer's weights (``x`` is cast to it).
 
     Returns the batch output, or (output, cache) when with_cache is set.
     """
     if len(activations) != len(layers):
         raise DataError("activation plan length must match layer count")
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=layers[0].W.dtype if layers else np.float64)
     if x.ndim != 2:
         raise DataError(f"input must be a batch matrix, got shape {x.shape}")
     inputs: list[np.ndarray] = []
@@ -212,9 +241,12 @@ def backward(
 
 
 def global_grad_norm(grads: list[tuple[np.ndarray, np.ndarray]]) -> float:
+    """The L2 norm of all gradients together, with the squares summed in
+    float64: a float32 sum of squares overflows from a norm of about 1.8e19,
+    and clipping by an infinite norm would zero every gradient."""
     total = 0.0
     for dW, db in grads:
-        total += float(np.sum(dW * dW)) + float(np.sum(db * db))
+        total += float(np.sum(np.square(dW, dtype=np.float64))) + float(np.sum(np.square(db, dtype=np.float64)))
     return float(np.sqrt(total))
 
 

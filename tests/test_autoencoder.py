@@ -167,6 +167,9 @@ def test_history_csv(tmp_path):
 # own copies of forward, backward (with the LeakyReLU gradient multiplied
 # in), global-norm clipping and Adam, written out operation by operation.
 # Initialization, the shuffle and the Huber loss are shared with the library.
+# Its steps run in float32, on float32 casts of the float64 initial weights
+# and of the training matrix; each epoch's test loss runs in float64 on
+# float64 casts of the weights, and the best epoch's cast is the model.
 
 
 def _ref_forward(layers, x, slope, cache=None):
@@ -184,7 +187,7 @@ def _ref_backward(layers, cache, grad_out, slope):
     da = grad_out
     for i in range(len(layers) - 1, -1, -1):
         a_in, z = cache[i]
-        dz = da * np.where(z > 0.0, 1.0, slope) if i < len(layers) - 1 else da
+        dz = da * np.where(z > 0.0, 1.0, slope).astype(z.dtype) if i < len(layers) - 1 else da
         grads[i] = (dz.T @ a_in, dz.sum(axis=0))
         if i > 0:
             da = dz @ layers[i][0]
@@ -194,7 +197,7 @@ def _ref_backward(layers, cache, grad_out, slope):
 def _ref_clip(grads, max_norm):
     total = 0.0
     for dW, db in grads:
-        total += float(np.sum(dW * dW)) + float(np.sum(db * db))
+        total += float(np.sum(np.square(dW, dtype=np.float64))) + float(np.sum(np.square(db, dtype=np.float64)))
     norm = float(np.sqrt(total))
     if norm <= max_norm or norm == 0.0:
         return grads, False
@@ -226,7 +229,9 @@ def _reference_train(xtr, xte, cfg, slope=0.2):
     steps the clip fired on."""
     dims = architecture_dims(xtr.shape[1])
     init_ss, shuffle_ss = np.random.SeedSequence(cfg.seed).spawn(2)
-    layers = [(l.W, l.b) for l in init_layers(dims, slope, init_ss)]
+    layers = [(l.W.astype(np.float32), l.b.astype(np.float32))
+              for l in init_layers(dims, slope, init_ss)]
+    xtr = xtr.astype(np.float32)
     state = [{k: np.zeros_like(W if k.endswith("W") else b) for k in ("mW", "vW", "mb", "vb")}
              for W, b in layers]
     rng = np.random.default_rng(shuffle_ss)
@@ -249,13 +254,15 @@ def _reference_train(xtr, xte, cfg, slope=0.2):
             step += 1
             _ref_adam(layers, state, grads, cfg, step, lr)
         exact_train = huber_loss(xtr, _ref_forward(layers, xtr, slope), cfg.huber_delta)
-        test_loss = huber_loss(xte, _ref_forward(layers, xte, slope), cfg.huber_delta)
+        weights = [(W.astype(np.float64), b.astype(np.float64)) for W, b in layers]
+        test_loss = huber_loss(xte, _ref_forward(weights, xte, slope), cfg.huber_delta)
         epochs.append((test_loss, lr, exact_train, batches))
         if test_loss < best_loss:
-            best_loss, best = test_loss, [(W.copy(), b.copy()) for W, b in layers]
+            best_loss, best = test_loss, weights
         sched.step(test_loss)
         if stopper.step(test_loss):
             break
+    assert all(W.dtype == b.dtype == np.float32 for W, b in layers)
     return best, epochs, clipped
 
 

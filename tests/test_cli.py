@@ -303,6 +303,32 @@ def test_config_value_faults_exit_1_naming_the_element(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists() and not (tmp_path / "model").exists()
 
 
+@pytest.mark.parametrize(
+    "train_block, message",
+    [
+        # A plateau "halving" raised the rate from 0.001 to 1.0, the test
+        # loss went to about 1e8, and train still exited 0.
+        ({"min_lr": 1.0, "plateau_patience": 1, "improvement_threshold": 100},
+         "min_lr must not exceed learning_rate"),
+        # Every epoch would count as an improvement: no halving, no stop.
+        ({"improvement_threshold": -1e-6}, "improvement_threshold must be >= 0"),
+        # float32 steps would round it to 0: a zero gradient's update is 0/0.
+        ({"adam_epsilon": 1e-39}, "adam_epsilon must be at least"),
+    ],
+    ids=["min_lr_above_learning_rate", "negative_improvement_threshold", "adam_epsilon_below_float32"],
+)
+def test_train_values_that_break_training_exit_1_at_load(tmp_path, capsys, train_block, message):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"train": train_block}))
+    with pytest.raises(ConfigError, match=f"^bad train block: {message}"):
+        load_config(str(cfg))
+    out = tmp_path / "model"
+    code = main(["train", "--config", str(cfg), "--input", str(tmp_path / "none.csv"), "--output-dir", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: bad train block: {message}")
+    assert not out.exists()
+
+
 def test_malformed_csv_exits_2_without_traceback(tmp_path, capsys):
     data, bad = tmp_path / "flows.csv", tmp_path / "bad.csv"
     assert main(["synth", "--n-per-class", "3", "--output", str(data)]) == 0

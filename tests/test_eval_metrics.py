@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from flowcodec import eval_metrics
 from flowcodec.errors import DataError
 from flowcodec.eval_metrics import (
     build_report,
@@ -273,6 +274,30 @@ def test_row_percent_errors_match_the_per_row_reference(tmp_path):
         path = tmp_path / "rows.csv"
         save_row_percent_errors(rows, recon, path)
         assert path.read_bytes() == _reference_save_row_percent_errors(rows, recon)
+
+
+def test_row_percent_errors_match_csv_writer_on_integral_and_exponent_means(tmp_path, monkeypatch):
+    # Means that are integral (csv.writer writes 100.0, not 100), that repr
+    # writes with an exponent, and rows with no mean, across format blocks.
+    monkeypatch.setattr(eval_metrics, "_FORMAT_ROWS", 97)
+    rng = np.random.default_rng(22)
+    y = rng.lognormal(0.0, 2.0, (1000, 4))
+    yhat = y * rng.normal(1.0, 0.2, y.shape)
+    yhat[0::7] = 0.0  # every error 100%: a mean of exactly 100.0
+    yhat[1::7] = 3.0 * y[1::7]  # 200.0
+    yhat[2::7] = y[2::7]  # 0.0
+    yhat[3::7] = y[3::7] * (1.0 + 2.0**-40)  # about 9.1e-11
+    yhat[4::7] = y[4::7] * 1e17  # about 1e+19
+    y[5::7] = 0.0  # no mean: an empty cell
+    y[6::7, 1:] = 0.0  # one kept feature
+    path = tmp_path / "rows.csv"
+    save_row_percent_errors(y, yhat, path)
+    got = path.read_bytes()
+    assert got == _reference_save_row_percent_errors(y, yhat)
+    cells = [line.split(b",")[1] for line in got.split(b"\r\n")[1:-1]]
+    for cell in (b"100.0", b"200.0", b"0.0", b""):
+        assert cell in cells
+    assert any(b"e-" in c for c in cells) and any(b"e+" in c for c in cells)
 
 
 def test_row_percent_errors_match_the_reference_for_every_kept_count(tmp_path):

@@ -519,6 +519,17 @@ def test_write_csv_matches_the_reference_on_every_float64_class(tmp_path, monkey
     _assert_same_lines(path.read_bytes(), _reference_write_csv(ds))
 
 
+def test_format_rows_as_repr_is_repr_on_every_float64_class():
+    # The mode the row error dump writes its means with: integral values
+    # keep their ".0", -0.0 its sign, and the rest is as without the mode.
+    values = np.concatenate([_float64_classes(np.random.default_rng(16)), [0.0, -0.0, 100.0, -1.0]])
+    rows = values[: len(values) // 3 * 3].reshape(-1, 3)
+    for start in range(0, len(rows), 50_000):
+        block = rows[start : start + 50_000]
+        want = [",".join(map(repr, row)) for row in block.tolist()]
+        assert _float_text.format_rows(block, as_repr=True) == want
+
+
 def test_write_csv_lays_out_common_cells_without_repr(tmp_path, monkeypatch):
     # Every equality test above would also pass if every cell went through
     # the per-cell fallback, so this one refuses the fallback instead.

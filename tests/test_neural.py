@@ -150,6 +150,94 @@ def test_gradients_match_finite_differences_asymmetric_net():
     grad_check([3, 7, 2], [True, False], seed=8, batch=4)
 
 
+# ---------------------------------------------------------------- precision
+#
+# Training steps run in float32 and everything else in float64, so each
+# kernel must compute in the dtype it is given. A numpy float64 scalar in a
+# kernel would widen a float32 array under numpy 2's promotion rules (NEP 50)
+# but not under numpy 1.24's, so these run on both.
+
+DIMS = [21, 128, 64, 16, 64, 128, 21]
+PLAN = [True] * 5 + [False]
+
+
+def _layers(dtype, seed=0):
+    """The production architecture with float32-representable weights and
+    biases, as ``dtype``."""
+    rng = np.random.default_rng(seed + 1)
+    return [
+        DenseLayer(
+            W=l.W.astype(np.float32).astype(dtype),
+            b=rng.normal(0.0, 0.1, l.b.shape).astype(np.float32).astype(dtype),
+        )
+        for l in init_layers(DIMS, SLOPE, seed=seed)
+    ]
+
+
+def _batch(dtype, seed=0, rows=256):
+    return np.random.default_rng(seed + 2).standard_normal((rows, DIMS[0])).astype(np.float32).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("max_norm", [1e-3, 1e6], ids=["clipped", "unclipped"])
+@pytest.mark.parametrize("decoupled", [False, True], ids=["coupled", "decoupled"])
+def test_step_kernels_keep_their_dtype(dtype, max_norm, decoupled):
+    layers = _layers(dtype)
+    x = _batch(dtype)
+    out, cache = forward(layers, PLAN, x, SLOPE, with_cache=True)
+    assert out.dtype == dtype
+    assert all(a.dtype == dtype for a in cache.inputs + cache.preacts)
+    assert leaky_relu_grad(cache.preacts[0], SLOPE).dtype == dtype
+    grad_out = huber_loss_grad(x, out, 1.0)
+    assert grad_out.dtype == dtype
+    assert isinstance(huber_loss(x, out, 1.0), float)
+    grads = backward(layers, PLAN, cache, grad_out, SLOPE)
+    assert all(g.dtype == dtype for pair in grads for g in pair)
+    clipped = clip_global_norm(grads, max_norm)
+    assert (clipped is grads) == (max_norm > global_grad_norm(grads))
+    assert all(g.dtype == dtype for pair in clipped for g in pair)
+    cfg = TrainConfig(weight_decay=1e-2, decoupled_weight_decay=decoupled)
+    for step in (1, 2):
+        adam_step(layers, clipped, cfg, step_count=step, learning_rate=cfg.learning_rate / 2)
+    for layer in layers:
+        for arr in (layer.W, layer.b, layer.m_W, layer.v_W, layer.m_b, layer.v_b):
+            assert arr.dtype == dtype
+    # A float64 batch through float32 layers is cast to the layers' dtype.
+    assert forward(layers, PLAN, x.astype(np.float64), SLOPE).dtype == dtype
+
+
+def test_huber_loss_sums_a_float32_batch_in_float64():
+    # One linear-branch penalty of 1.5 beside 1023 quadratic ones of 2**-41.
+    # Each penalty is exact in float32, and every partial sum is exact in
+    # float64; a float32 sum would drop the small ones against the 1.5.
+    y = np.full((32, 32), 2.0**-20, dtype=np.float32)
+    y[0, 0] = 2.0
+    loss = huber_loss(y, np.zeros_like(y), 1.0)
+    assert loss == (1.5 + 1023 * 2.0**-41) / 1024
+    assert loss != float(np.float32(1.5) / np.float32(1024))
+
+
+# Backward sums up to 256 products per gradient entry and chains six layers;
+# in float32 that leaves a relative error of about 1e-6 (8 float32 epsilons)
+# on this batch. 64 epsilons is the stated bound.
+FLOAT32_GRAD_TOL = 64 * float(np.finfo(np.float32).eps)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_float32_backward_matches_float64_backward(seed):
+    grads = {}
+    for dtype in (np.float32, np.float64):
+        layers = _layers(dtype, seed)
+        x = _batch(dtype, seed)
+        out, cache = forward(layers, PLAN, x, SLOPE, with_cache=True)
+        grads[dtype] = backward(layers, PLAN, cache, huber_loss_grad(x, out, 1.0), SLOPE)
+    for pair32, pair64 in zip(grads[np.float32], grads[np.float64]):
+        for g32, g64 in zip(pair32, pair64):
+            err = g32.astype(np.float64) - g64
+            assert np.linalg.norm(err) <= FLOAT32_GRAD_TOL * np.linalg.norm(g64)
+            assert np.abs(err).max() <= FLOAT32_GRAD_TOL * np.abs(g64).max()
+
+
 # ---------------------------------------------------------------- clipping
 
 
@@ -164,6 +252,12 @@ def test_clip_global_norm_scales_to_max():
     assert global_grad_norm(clipped) == pytest.approx(1.0, rel=1e-12)
     assert clipped[0][0][0, 0] == pytest.approx(0.6)
     assert clipped[0][1][0] == pytest.approx(0.8)
+    # Finite float32 gradients whose squares overflow float32: a float32
+    # norm would be inf and scale them to 0.
+    big = [(np.array([[3e20]], dtype=np.float32), np.array([4e20], dtype=np.float32))]
+    assert global_grad_norm(big) == pytest.approx(5e20)
+    clipped = clip_global_norm(big, 1.0)
+    assert clipped[0][0][0, 0] == pytest.approx(0.6) and clipped[0][1][0] == pytest.approx(0.8)
 
 
 def test_clip_global_norm_noop_below_max_and_on_zero():
