@@ -10,12 +10,14 @@ the best test-loss epoch.
 Precision is split as in mixed-precision training (Micikevicius et al.,
 ICLR 2018): every training step (forward with its cache, the Huber loss
 and its gradient, backward, clipping and Adam) runs in float32, on a
-float32 copy of the training matrix, float32 weights and float32 Adam
-moments. The weights are drawn in float64 and then cast. Each epoch's test
-loss runs in float64, on float64 copies of that epoch's weights, and the
-copy of the best epoch is the returned model. So the saved ``.fcae`` file,
-`encode` and `decode` are float64, as they were when training ran in
-float64, and a model saved then loads and gives the same outputs.
+float32 copy of the training matrix and a float32 `TrainState`, which
+holds the weights, the gradients and the Adam moments as one contiguous
+vector each. The weights are drawn in float64 and then cast. Each epoch's
+test loss runs in float64, on one float64 copy of that epoch's parameter
+vector, whose views are the layers, and the copy of the best epoch is the
+returned model. So the saved ``.fcae`` file, `encode` and `decode` are
+float64, as they were when training ran in float64, and a model saved
+then loads and gives the same outputs.
 
 Each epoch writes one row of ``training_history.csv``:
 
@@ -45,6 +47,7 @@ from .errors import DataError, DivergenceError, ModelFormatError
 from .neural import (
     DenseLayer,
     TrainConfig,
+    TrainState,
     adam_step,
     backward,
     clip_global_norm,
@@ -175,12 +178,6 @@ class EarlyStopper:
         return self.stale_epochs >= self.patience
 
 
-def _cast(layers: list[DenseLayer], dtype) -> list[DenseLayer]:
-    """New layers holding ``layers``' weights as ``dtype``, with fresh Adam
-    moments of that dtype."""
-    return [DenseLayer(W=l.W.astype(dtype), b=l.b.astype(dtype)) for l in layers]
-
-
 def train(
     train_matrix: np.ndarray,
     test_matrix: np.ndarray,
@@ -195,9 +192,9 @@ def train(
 
     Each epoch runs a seeded shuffle of the training rows through batched
     float32 forward/backward/clip/Adam, then evaluates the exact mean Huber
-    loss on the test matrix in float64, with float64 copies of the
-    weights; that loss alone drives the scheduler, early stopping and the
-    returned snapshot, which is the copy it was computed with. The initial
+    loss on the test matrix in float64, with a float64 copy of the
+    parameter vector; that loss alone drives the scheduler, early stopping
+    and the returned snapshot, which is the copy it was computed with. The initial
     weights are drawn in float64 and then cast, so the seed picks the same
     starting point as a float64 run. ``train_loss`` is the running batch
     mean, each batch scored before its step's update, so no pass over the
@@ -224,7 +221,7 @@ def train(
 
     root = np.random.SeedSequence(config.seed)
     init_ss, shuffle_ss = root.spawn(2)
-    layers = _cast(init_layers(dims, slope, init_ss), np.float32)
+    state = TrainState(init_layers(dims, slope, init_ss), np.float32)
     rng = np.random.default_rng(shuffle_ss)
 
     scheduler = PlateauScheduler(
@@ -256,16 +253,16 @@ def train(
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, n, config.batch_size):
                 batch = train32[perm[start : start + config.batch_size]]
-                out, cache = forward(layers, activations, batch, slope, with_cache=True)
+                out, cache = forward(state.layers, activations, batch, slope, with_cache=True)
                 loss_sum += huber_loss(batch, out, config.huber_delta) * batch.shape[0]
                 grad_out = huber_loss_grad(batch, out, config.huber_delta)
-                grads = backward(layers, activations, cache, grad_out, slope)
-                grads = clip_global_norm(grads, config.clip_max_norm)
+                backward(state.layers, activations, cache, grad_out, slope, out=state.grads)
+                clip_global_norm(state, config.clip_max_norm)
                 step_count += 1
-                adam_step(layers, grads, config, step_count, learning_rate=lr)
+                adam_step(state, config, step_count, learning_rate=lr)
 
             train_loss = loss_sum / n
-            weights = _cast(layers, np.float64)
+            weights = state.snapshot(np.float64)
             test_loss = huber_loss(test_matrix, forward(weights, activations, test_matrix, slope), config.huber_delta)
         if not (np.isfinite(train_loss) and np.isfinite(test_loss)):
             raise DivergenceError(epoch)

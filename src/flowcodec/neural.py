@@ -5,6 +5,15 @@ LeakyReLU activations, mean Huber loss, global-norm gradient clipping and
 Adam with L2-coupled weight decay. A full training step is a pure function
 of (parameters, batch, step count, seed).
 
+A training run keeps its state in a `TrainState`: the parameters, the
+gradients and both Adam moments are each one contiguous vector, every
+layer's weights first and then every layer's biases, and each layer's
+``W`` and ``b`` (and ``dW`` and ``db``) are views into them. `backward`
+writes into the gradient views, and `clip_global_norm` and `adam_step` run
+as a few in-place passes over whole vectors. Each element still goes
+through the same operations, in the same order, as a per-layer update, so
+the weights do not depend on the layout.
+
 Every kernel computes in the dtype of the arrays it is given: float32
 layers, batches, gradients and Adam moments stay float32, and float64 ones
 stay float64. Scalars enter as Python floats, which numpy never lets widen
@@ -26,23 +35,16 @@ _FLOAT32_TINY = float(np.finfo(np.float32).tiny)
 
 @dataclass
 class DenseLayer:
-    """Affine layer y = x W^T + b with per-parameter Adam state."""
+    """Affine layer y = x W^T + b. ``version`` counts the updates applied,
+    so a forward cache from before one is refused."""
 
     W: np.ndarray  # (out, in)
     b: np.ndarray  # (out,)
-    m_W: np.ndarray = field(init=False)
-    v_W: np.ndarray = field(init=False)
-    m_b: np.ndarray = field(init=False)
-    v_b: np.ndarray = field(init=False)
     version: int = field(init=False, default=0)
 
     def __post_init__(self):
         if self.W.ndim != 2 or self.b.shape != (self.W.shape[0],):
             raise DataError(f"inconsistent layer shapes W={self.W.shape} b={self.b.shape}")
-        self.m_W = np.zeros_like(self.W)
-        self.v_W = np.zeros_like(self.W)
-        self.m_b = np.zeros_like(self.b)
-        self.v_b = np.zeros_like(self.b)
 
     @property
     def fan_in(self) -> int:
@@ -51,6 +53,52 @@ class DenseLayer:
     @property
     def fan_out(self) -> int:
         return self.W.shape[0]
+
+
+def _views(vec: np.ndarray, shapes: list[tuple[int, int]]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One (W, b) pair of views into ``vec`` per weight shape: every
+    layer's weights in layer order come first, then every layer's biases."""
+    pairs = []
+    w = 0
+    b = sum(rows * cols for rows, cols in shapes)
+    for rows, cols in shapes:
+        pairs.append((vec[w : w + rows * cols].reshape(rows, cols), vec[b : b + rows]))
+        w += rows * cols
+        b += rows
+    return pairs
+
+
+class TrainState:
+    """A training run's parameters, gradients and Adam moments, each held in
+    one contiguous vector of ``dtype``.
+
+    ``params``, ``grad``, ``m`` and ``v`` share one layout: every layer's
+    weights, then every layer's biases, so weight decay touches the one
+    slice ``[:n_weights]``. ``layers`` are views into ``params``, and
+    ``grads`` holds one ``(dW, db)`` pair of views into ``grad`` per layer,
+    for `backward` to write into. A step copies nothing between the two
+    forms. `adam_step` uses ``grad`` as working space, so after a step it
+    holds no gradient until `backward` fills it again.
+    """
+
+    def __init__(self, layers: list[DenseLayer], dtype):
+        self.shapes = [layer.W.shape for layer in layers]
+        self.n_weights = sum(layer.W.size for layer in layers)
+        self.params = np.concatenate([l.W.ravel() for l in layers] + [l.b for l in layers]).astype(dtype)
+        self.layers = [DenseLayer(W=W, b=b) for W, b in _views(self.params, self.shapes)]
+        self.grad = np.zeros_like(self.params)
+        self.grads = _views(self.grad, self.shapes)
+        self.m = np.zeros_like(self.params)
+        self.v = np.zeros_like(self.params)
+        self._scratch = np.empty_like(self.params)
+        # global_grad_norm's squares: float64 whatever the dtype.
+        self._squares = np.empty(self.params.size, dtype=np.float64)
+        self._square_pairs = _views(self._squares, self.shapes)
+
+    def snapshot(self, dtype) -> list[DenseLayer]:
+        """Layers whose weights are views into a new ``dtype`` copy of
+        ``params``, which later steps leave as it is."""
+        return [DenseLayer(W=W, b=b) for W, b in _views(self.params.astype(dtype), self.shapes)]
 
 
 @dataclass
@@ -220,13 +268,22 @@ def backward(
     cache: ForwardCache,
     grad_output: np.ndarray,
     slope: float,
+    out: list[tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Backpropagate d(loss)/d(output) into per-layer (dW, db) gradients."""
+    """Backpropagate d(loss)/d(output) into per-layer (dW, db) gradients.
+
+    They are written into ``out`` (a `TrainState`'s ``grads``) when it is
+    given, else into new arrays, and returned. ``grad_output`` must have the
+    parameters' dtype: through ``out`` another dtype would be cast silently.
+    """
     if cache.versions != tuple(l.version for l in layers):
         raise DataError("stale forward cache: parameters changed since the forward pass")
     if grad_output.shape != cache.output.shape:
         raise DataError("grad_output shape does not match forward output")
-    grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(layers)
+    if grad_output.dtype != layers[-1].W.dtype:
+        raise DataError(f"grad_output is {grad_output.dtype}, but the parameters are {layers[-1].W.dtype}")
+    if out is None:
+        out = [(np.empty_like(l.W), np.empty_like(l.b)) for l in layers]
     da = grad_output
     for i in range(len(layers) - 1, -1, -1):
         if activations[i]:
@@ -234,66 +291,88 @@ def backward(
             dz *= da
         else:
             dz = da
-        grads[i] = (dz.T @ cache.inputs[i], dz.sum(axis=0))
+        dW, db = out[i]
+        np.matmul(dz.T, cache.inputs[i], out=dW)
+        np.sum(dz, axis=0, out=db)
         if i > 0:
             da = dz @ layers[i].W
-    return grads
+    return out
 
 
-def global_grad_norm(grads: list[tuple[np.ndarray, np.ndarray]]) -> float:
-    """The L2 norm of all gradients together, with the squares summed in
-    float64: a float32 sum of squares overflows from a norm of about 1.8e19,
-    and clipping by an infinite norm would zero every gradient."""
+def global_grad_norm(state: TrainState) -> float:
+    """The L2 norm of ``state.grad``.
+
+    The squares are taken in float64, as one pass into a preallocated
+    buffer: a float32 sum of squares overflows from a norm of about 1.8e19,
+    and clipping by an infinite norm would zero every gradient. They are
+    summed per array, in layer order and each layer's weights before its
+    biases, so the norm rounds as a layer-by-layer sum does."""
+    np.square(state.grad, out=state._squares, dtype=np.float64)
     total = 0.0
-    for dW, db in grads:
-        total += float(np.sum(np.square(dW, dtype=np.float64))) + float(np.sum(np.square(db, dtype=np.float64)))
+    for sq_W, sq_b in state._square_pairs:
+        total += float(np.sum(sq_W)) + float(np.sum(sq_b))
     return float(np.sqrt(total))
 
 
-def clip_global_norm(
-    grads: list[tuple[np.ndarray, np.ndarray]], max_norm: float
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Scale all gradients jointly so their global L2 norm is at most max_norm."""
+def clip_global_norm(state: TrainState, max_norm: float) -> None:
+    """Scale ``state.grad`` in place so its global L2 norm is at most max_norm."""
     if max_norm <= 0:
         raise DataError("max_norm must be positive")
-    norm = global_grad_norm(grads)
+    norm = global_grad_norm(state)
     if norm <= max_norm or norm == 0.0:
-        return grads
-    scale = max_norm / norm
-    return [(dW * scale, db * scale) for dW, db in grads]
+        return
+    state.grad *= max_norm / norm
 
 
 def adam_step(
-    layers: list[DenseLayer],
-    grads: list[tuple[np.ndarray, np.ndarray]],
+    state: TrainState,
     config: TrainConfig,
     step_count: int,
     learning_rate: float | None = None,
 ) -> None:
-    """In-place Adam update with bias correction.
+    """In-place Adam update with bias correction, from ``state.grad``.
 
     Weight decay couples as an L2 term added to the raw weight gradient
     before the moment update (biases exempt). Pass learning_rate to override
     config.learning_rate, e.g. from a scheduler.
+
+    Each pass runs over a whole vector, or over its weight slice for decay,
+    and each element goes through one per-layer update's operations in its
+    order: ``dW + wd*W``, ``b1*m + (1-b1)*g``, ``b2*v + ((1-b2)*g)*g``, then
+    ``W - lr*(m/bc1) / (sqrt(v/bc2) + eps)``. ``grad`` and one scratch
+    vector hold the intermediates, so no array is allocated.
     """
     if step_count < 1:
         raise DataError("step_count starts at 1")
+    if state.grad.dtype != state.params.dtype:
+        raise DataError(f"gradient is {state.grad.dtype}, but the parameters are {state.params.dtype}")
     lr = config.learning_rate if learning_rate is None else learning_rate
-    b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_epsilon
+    b1, b2, eps, wd = config.adam_beta1, config.adam_beta2, config.adam_epsilon, config.weight_decay
     bc1 = 1.0 - b1**step_count
     bc2 = 1.0 - b2**step_count
-    for layer, (dW, db) in zip(layers, grads):
-        gW = dW
-        if config.weight_decay != 0.0 and not config.decoupled_weight_decay:
-            gW = dW + config.weight_decay * layer.W
-        layer.m_W = b1 * layer.m_W + (1.0 - b1) * gW
-        layer.v_W = b2 * layer.v_W + (1.0 - b2) * gW * gW
-        layer.m_b = b1 * layer.m_b + (1.0 - b1) * db
-        layer.v_b = b2 * layer.v_b + (1.0 - b2) * db * db
-        if config.weight_decay != 0.0 and config.decoupled_weight_decay:
-            layer.W -= lr * config.weight_decay * layer.W
-        layer.W -= lr * (layer.m_W / bc1) / (np.sqrt(layer.v_W / bc2) + eps)
-        layer.b -= lr * (layer.m_b / bc1) / (np.sqrt(layer.v_b / bc2) + eps)
+    p, g, m, v, t = state.params, state.grad, state.m, state.v, state._scratch
+    n = state.n_weights
+    if wd != 0.0 and not config.decoupled_weight_decay:
+        np.multiply(p[:n], wd, out=t[:n])
+        g[:n] += t[:n]
+    m *= b1
+    np.multiply(g, 1.0 - b1, out=t)
+    m += t
+    v *= b2
+    np.multiply(g, 1.0 - b2, out=t)
+    t *= g
+    v += t
+    if wd != 0.0 and config.decoupled_weight_decay:
+        np.multiply(p[:n], lr * wd, out=t[:n])
+        p[:n] -= t[:n]
+    np.divide(m, bc1, out=g)
+    g *= lr
+    np.divide(v, bc2, out=t)
+    np.sqrt(t, out=t)
+    t += eps
+    g /= t
+    p -= g
+    for layer in state.layers:
         layer.version += 1
 
 

@@ -115,6 +115,16 @@ def test_train_snapshots_best_epoch_weights():
     assert loss_now == hist.best_test_loss
 
 
+def test_train_best_epoch_snapshot_survives_later_epochs():
+    # A rate high enough that the test loss rises again after epoch 6, so
+    # two more epochs run after the best one. Their steps and their float64
+    # copies must leave the best epoch's weights as they were.
+    xtr, xte = tiny_data(seed=4)
+    model, hist = train(xtr, xte, tiny_config(learning_rate=0.03, max_epochs=8))
+    assert hist.best_epoch < len(hist.epochs) == 8
+    assert huber_loss(xte, reconstruct(model, xte), 1.0) == hist.best_test_loss
+
+
 def test_train_deterministic():
     xtr, xte = tiny_data(seed=5)
     m1, h1 = train(xtr, xte, tiny_config())

@@ -5,6 +5,7 @@ from flowcodec.errors import DataError
 from flowcodec.neural import (
     DenseLayer,
     TrainConfig,
+    TrainState,
     adam_step,
     backward,
     clip_global_norm,
@@ -103,13 +104,13 @@ def test_forward_shapes_and_validation():
 
 
 def test_backward_rejects_stale_cache():
-    layers = init_layers([3, 4, 3], SLOPE, seed=2)
+    state = TrainState(init_layers([3, 4, 3], SLOPE, seed=2), np.float64)
     x = np.random.default_rng(3).normal(size=(6, 3))
-    out, cache = forward(layers, [True, False], x, SLOPE, with_cache=True)
-    grads = backward(layers, [True, False], cache, np.ones_like(out), SLOPE)
-    adam_step(layers, grads, TrainConfig(), step_count=1)
+    out, cache = forward(state.layers, [True, False], x, SLOPE, with_cache=True)
+    backward(state.layers, [True, False], cache, np.ones_like(out), SLOPE, out=state.grads)
+    adam_step(state, TrainConfig(), step_count=1)
     with pytest.raises(DataError, match="stale"):
-        backward(layers, [True, False], cache, np.ones_like(out), SLOPE)
+        backward(state.layers, [True, False], cache, np.ones_like(out), SLOPE)
 
 
 def grad_check(dims, activations, seed, batch, rel_tol=1e-4):
@@ -182,7 +183,8 @@ def _batch(dtype, seed=0, rows=256):
 @pytest.mark.parametrize("max_norm", [1e-3, 1e6], ids=["clipped", "unclipped"])
 @pytest.mark.parametrize("decoupled", [False, True], ids=["coupled", "decoupled"])
 def test_step_kernels_keep_their_dtype(dtype, max_norm, decoupled):
-    layers = _layers(dtype)
+    state = TrainState(_layers(dtype), dtype)
+    layers = state.layers
     x = _batch(dtype)
     out, cache = forward(layers, PLAN, x, SLOPE, with_cache=True)
     assert out.dtype == dtype
@@ -191,17 +193,23 @@ def test_step_kernels_keep_their_dtype(dtype, max_norm, decoupled):
     grad_out = huber_loss_grad(x, out, 1.0)
     assert grad_out.dtype == dtype
     assert isinstance(huber_loss(x, out, 1.0), float)
-    grads = backward(layers, PLAN, cache, grad_out, SLOPE)
+    grads = backward(layers, PLAN, cache, grad_out, SLOPE, out=state.grads)
+    assert grads is state.grads
     assert all(g.dtype == dtype for pair in grads for g in pair)
-    clipped = clip_global_norm(grads, max_norm)
-    assert (clipped is grads) == (max_norm > global_grad_norm(grads))
-    assert all(g.dtype == dtype for pair in clipped for g in pair)
+    unclipped, norm = state.grad.copy(), global_grad_norm(state)
+    clip_global_norm(state, max_norm)
+    assert np.array_equal(state.grad, unclipped) == (max_norm > norm)
+    assert all(g.dtype == dtype for pair in state.grads for g in pair)
+    clipped = state.grad.copy()
     cfg = TrainConfig(weight_decay=1e-2, decoupled_weight_decay=decoupled)
     for step in (1, 2):
-        adam_step(layers, clipped, cfg, step_count=step, learning_rate=cfg.learning_rate / 2)
+        state.grad[...] = clipped  # adam_step uses the gradient as working space
+        adam_step(state, cfg, step_count=step, learning_rate=cfg.learning_rate / 2)
     for layer in layers:
-        for arr in (layer.W, layer.b, layer.m_W, layer.v_W, layer.m_b, layer.v_b):
+        for arr in (layer.W, layer.b):
             assert arr.dtype == dtype
+    for arr in (state.params, state.grad, state.m, state.v):
+        assert arr.dtype == dtype
     # A float64 batch through float32 layers is cast to the layers' dtype.
     assert forward(layers, PLAN, x.astype(np.float64), SLOPE).dtype == dtype
 
@@ -238,35 +246,159 @@ def test_float32_backward_matches_float64_backward(seed):
             assert np.abs(err).max() <= FLOAT32_GRAD_TOL * np.abs(g64).max()
 
 
+# ---------------------------------------------------------------- train state
+
+
+def _state(pairs, dtype=np.float64):
+    """A TrainState over layers given as (W, b) pairs of nested lists."""
+    return TrainState([DenseLayer(W=np.array(W, dtype=float), b=np.array(b, dtype=float)) for W, b in pairs], dtype)
+
+
+def _set_grads(state, grads):
+    for (dW, db), (gW, gb) in zip(state.grads, grads):
+        dW[...] = gW
+        db[...] = gb
+
+
+def _offset(view, vec):
+    """Where ``view`` starts in ``vec``, in elements."""
+    return (view.__array_interface__["data"][0] - vec.__array_interface__["data"][0]) // vec.itemsize
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_train_state_views_share_its_vectors(dtype):
+    source = _layers(np.float64)
+    state = TrainState(source, dtype)
+    n_weights = sum(l.W.size for l in source)
+    assert state.n_weights == n_weights
+    assert state.params.size == n_weights + sum(l.b.size for l in source) == 24229
+    for vec in (state.params, state.grad, state.m, state.v):
+        assert vec.dtype == dtype and vec.shape == state.params.shape and vec.flags.c_contiguous
+    # Every layer's weights in layer order, then every layer's biases.
+    w, b = 0, n_weights
+    for src, layer, (dW, db) in zip(source, state.layers, state.grads):
+        assert np.shares_memory(layer.W, state.params) and np.shares_memory(layer.b, state.params)
+        assert np.shares_memory(dW, state.grad) and np.shares_memory(db, state.grad)
+        assert _offset(layer.W, state.params) == _offset(dW, state.grad) == w
+        assert _offset(layer.b, state.params) == _offset(db, state.grad) == b
+        assert dW.shape == layer.W.shape == src.W.shape and db.shape == layer.b.shape == src.b.shape
+        assert layer.W.tobytes() == src.W.astype(dtype).tobytes()
+        assert layer.b.tobytes() == src.b.astype(dtype).tobytes()
+        w += src.W.size
+        b += src.b.size
+    assert (w, b) == (n_weights, state.params.size)
+    # A snapshot is a copy: writing the parameters leaves it as it was.
+    snap = state.snapshot(np.float64)
+    before = [(l.W.copy(), l.b.copy()) for l in snap]
+    state.params[...] = 0.0
+    for l, (W, bias), layer in zip(snap, before, state.layers):
+        assert l.W.dtype == np.float64 and not np.shares_memory(l.W, state.params)
+        assert np.array_equal(l.W, W) and np.array_equal(l.b, bias) and W.any()
+        assert not layer.W.any() and not layer.b.any()
+
+
+def reference_clip(grads, max_norm):
+    """Global-norm clipping of per-layer (dW, db) pairs, written out as the
+    per-layer code ran it: float64 squares summed array by array."""
+    total = 0.0
+    for dW, db in grads:
+        total += float(np.sum(np.square(dW, dtype=np.float64))) + float(np.sum(np.square(db, dtype=np.float64)))
+    norm = float(np.sqrt(total))
+    if norm <= max_norm or norm == 0.0:
+        return grads
+    scale = max_norm / norm
+    return [(dW * scale, db * scale) for dW, db in grads]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("max_norm", [1e-3, 1e6], ids=["clipped", "unclipped"])
+@pytest.mark.parametrize("decoupled", [False, True], ids=["coupled", "decoupled"])
+def test_vector_clip_and_adam_match_the_per_layer_formulas(dtype, max_norm, decoupled):
+    # Three steps over the production architecture against clipping and
+    # Adam applied array by array; weights, gradients and moments must
+    # agree bit for bit.
+    cfg = TrainConfig(weight_decay=1e-2, decoupled_weight_decay=decoupled)
+    b1, b2, eps, wd = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon, cfg.weight_decay
+    lr = cfg.learning_rate / 2
+    state = TrainState(_layers(dtype), dtype)
+    want = [(l.W.copy(), l.b.copy()) for l in state.layers]
+    moments = [[np.zeros_like(a) for a in (l.W, l.W, l.b, l.b)] for l in state.layers]
+    for step in (1, 2, 3):
+        x = _batch(dtype, seed=step)
+        out, cache = forward(state.layers, PLAN, x, SLOPE, with_cache=True)
+        backward(state.layers, PLAN, cache, huber_loss_grad(x, out, 1.0), SLOPE, out=state.grads)
+        ref_grads = reference_clip([(dW.copy(), db.copy()) for dW, db in state.grads], max_norm)
+        clip_global_norm(state, max_norm)
+        for (dW, db), (rW, rb) in zip(state.grads, ref_grads):
+            assert dW.tobytes() == rW.tobytes() and db.tobytes() == rb.tobytes()
+        adam_step(state, cfg, step_count=step, learning_rate=lr)
+        for i, ((W, b), (gW, gb), (mW, vW, mb, vb)) in enumerate(zip(want, ref_grads, moments)):
+            if decoupled:
+                W = W - lr * wd * W
+            else:
+                gW = gW + wd * W
+            W, mW, vW = reference_adam(W, gW, mW, vW, step, lr, b1, b2, eps)
+            b, mb, vb = reference_adam(b, gb, mb, vb, step, lr, b1, b2, eps)
+            want[i], moments[i] = (W, b), [mW, vW, mb, vb]
+        for layer, (W, b) in zip(state.layers, want):
+            assert layer.W.tobytes() == W.tobytes() and layer.b.tobytes() == b.tobytes()
+        for vec, k in ((state.m, 0), (state.v, 1)):
+            flat = [mom[k].ravel() for mom in moments] + [mom[k + 2] for mom in moments]
+            assert vec.tobytes() == np.concatenate(flat).tobytes()
+
+
+def test_backward_and_adam_refuse_a_gradient_of_another_dtype():
+    # A float64 gradient through float32 parameters would be cast silently
+    # into the gradient views, or widen the Adam moments.
+    state = TrainState(_layers(np.float32), np.float32)
+    x = _batch(np.float32)
+    out, cache = forward(state.layers, PLAN, x, SLOPE, with_cache=True)
+    grad_out = huber_loss_grad(x, out, 1.0).astype(np.float64)
+    with pytest.raises(DataError, match="float64"):
+        backward(state.layers, PLAN, cache, grad_out, SLOPE, out=state.grads)
+    with pytest.raises(DataError, match="float64"):
+        backward(state.layers, PLAN, cache, grad_out, SLOPE)
+    params = state.params.copy()
+    state.grad = state.grad.astype(np.float64)
+    with pytest.raises(DataError, match="float64"):
+        adam_step(state, TrainConfig(), step_count=1)
+    assert state.params.tobytes() == params.tobytes()
+    assert not state.m.any() and not state.v.any() and state.m.dtype == np.float32
+
+
 # ---------------------------------------------------------------- clipping
 
 
 def test_global_grad_norm_hand_value():
-    grads = [(np.array([[3.0]]), np.array([4.0]))]
-    assert global_grad_norm(grads) == pytest.approx(5.0)
+    state = _state([([[0.0]], [0.0])])
+    _set_grads(state, [([[3.0]], [4.0])])
+    assert global_grad_norm(state) == pytest.approx(5.0)
 
 
 def test_clip_global_norm_scales_to_max():
-    grads = [(np.array([[3.0]]), np.array([4.0]))]
-    clipped = clip_global_norm(grads, 1.0)
-    assert global_grad_norm(clipped) == pytest.approx(1.0, rel=1e-12)
-    assert clipped[0][0][0, 0] == pytest.approx(0.6)
-    assert clipped[0][1][0] == pytest.approx(0.8)
+    state = _state([([[0.0]], [0.0])])
+    _set_grads(state, [([[3.0]], [4.0])])
+    clip_global_norm(state, 1.0)
+    assert global_grad_norm(state) == pytest.approx(1.0, rel=1e-12)
+    assert state.grads[0][0][0, 0] == pytest.approx(0.6)
+    assert state.grads[0][1][0] == pytest.approx(0.8)
     # Finite float32 gradients whose squares overflow float32: a float32
     # norm would be inf and scale them to 0.
-    big = [(np.array([[3e20]], dtype=np.float32), np.array([4e20], dtype=np.float32))]
+    big = _state([([[0.0]], [0.0])], np.float32)
+    _set_grads(big, [([[3e20]], [4e20])])
     assert global_grad_norm(big) == pytest.approx(5e20)
-    clipped = clip_global_norm(big, 1.0)
-    assert clipped[0][0][0, 0] == pytest.approx(0.6) and clipped[0][1][0] == pytest.approx(0.8)
+    clip_global_norm(big, 1.0)
+    assert big.grads[0][0][0, 0] == pytest.approx(0.6) and big.grads[0][1][0] == pytest.approx(0.8)
 
 
 def test_clip_global_norm_noop_below_max_and_on_zero():
-    grads = [(np.array([[0.3]]), np.array([0.4]))]
-    out = clip_global_norm(grads, 1.0)
-    assert out[0][0][0, 0] == 0.3 and out[0][1][0] == 0.4
-    zero = [(np.zeros((2, 2)), np.zeros(2))]
-    out = clip_global_norm(zero, 1.0)
-    assert np.all(out[0][0] == 0.0)
+    state = _state([([[0.0]], [0.0])])
+    _set_grads(state, [([[0.3]], [0.4])])
+    clip_global_norm(state, 1.0)
+    assert state.grads[0][0][0, 0] == 0.3 and state.grads[0][1][0] == 0.4
+    zero = _state([(np.zeros((2, 2)), np.zeros(2))])
+    clip_global_norm(zero, 1.0)
+    assert np.all(zero.grads[0][0] == 0.0)
 
 
 # ---------------------------------------------------------------- adam
@@ -283,14 +415,16 @@ def reference_adam(W, g, m, v, step, lr, b1, b2, eps):
 
 def test_adam_step_matches_reference_two_steps():
     cfg = TrainConfig(weight_decay=0.0)
-    layer = DenseLayer(W=np.array([[2.0]]), b=np.array([1.0]))
+    state = _state([([[2.0]], [1.0])])
+    layer = state.layers[0]
     rng = np.random.default_rng(14)
     W, m, v = layer.W.copy(), np.zeros((1, 1)), np.zeros((1, 1))
     bexp, bm, bv = layer.b.copy(), np.zeros(1), np.zeros(1)
     for step in (1, 2):
         gW = rng.normal(size=(1, 1))
         gb = rng.normal(size=1)
-        adam_step([layer], [(gW, gb)], cfg, step_count=step)
+        _set_grads(state, [(gW, gb)])
+        adam_step(state, cfg, step_count=step)
         W, m, v = reference_adam(W, gW, m, v, step, cfg.learning_rate,
                                  cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon)
         bexp, bm, bv = reference_adam(bexp, gb, bm, bv, step, cfg.learning_rate,
@@ -301,8 +435,9 @@ def test_adam_step_matches_reference_two_steps():
 
 def test_coupled_weight_decay_adds_l2_term_and_skips_bias():
     cfg = TrainConfig(weight_decay=0.01)
-    layer = DenseLayer(W=np.array([[5.0]]), b=np.array([5.0]))
-    adam_step([layer], [(np.zeros((1, 1)), np.zeros(1))], cfg, step_count=1)
+    state = _state([([[5.0]], [5.0])])
+    layer = state.layers[0]
+    adam_step(state, cfg, step_count=1)
     # Zero raw gradient: the weight still moves because decay couples into
     # the gradient; the bias is exempt and must not move.
     W, _, _ = reference_adam(np.array([[5.0]]), 0.01 * np.array([[5.0]]),
@@ -315,8 +450,9 @@ def test_coupled_weight_decay_adds_l2_term_and_skips_bias():
 
 def test_decoupled_weight_decay_shrinks_directly():
     cfg = TrainConfig(weight_decay=0.01, decoupled_weight_decay=True)
-    layer = DenseLayer(W=np.array([[5.0]]), b=np.array([5.0]))
-    adam_step([layer], [(np.zeros((1, 1)), np.zeros(1))], cfg, step_count=1)
+    state = _state([([[5.0]], [5.0])])
+    layer = state.layers[0]
+    adam_step(state, cfg, step_count=1)
     # Zero gradient leaves the moments at zero, so the only change is the
     # multiplicative shrink lr * wd.
     assert layer.W[0, 0] == pytest.approx(5.0 * (1 - cfg.learning_rate * 0.01), rel=1e-15)
@@ -324,14 +460,16 @@ def test_decoupled_weight_decay_shrinks_directly():
 
 
 def test_adam_learning_rate_override():
-    layer1 = DenseLayer(W=np.array([[1.0]]), b=np.array([0.0]))
-    layer2 = DenseLayer(W=np.array([[1.0]]), b=np.array([0.0]))
-    g = [(np.array([[0.5]]), np.array([0.0]))]
+    state1 = _state([([[1.0]], [0.0])])
+    state2 = _state([([[1.0]], [0.0])])
+    g = [([[0.5]], [0.0])]
     cfg = TrainConfig(weight_decay=0.0)
-    adam_step([layer1], g, cfg, 1)
-    adam_step([layer2], g, cfg, 1, learning_rate=cfg.learning_rate / 2)
-    d1 = 1.0 - layer1.W[0, 0]
-    d2 = 1.0 - layer2.W[0, 0]
+    _set_grads(state1, g)
+    _set_grads(state2, g)
+    adam_step(state1, cfg, 1)
+    adam_step(state2, cfg, 1, learning_rate=cfg.learning_rate / 2)
+    d1 = 1.0 - state1.layers[0].W[0, 0]
+    d2 = 1.0 - state2.layers[0].W[0, 0]
     assert d2 == pytest.approx(d1 / 2, rel=1e-12)
 
 
