@@ -117,7 +117,7 @@ def write_latent(
     head = frame(LATENT_MAGIC, LATENT_FORMAT_VERSION, header_bytes)
     with atomic_write(path, "wb") as fh:
         fh.write(head)
-        fh.write(stored.tobytes())
+        fh.write(stored)  # C-contiguous: written from its own buffer, not a copy
         fh.write(struct.pack("<Q", len(sidecar)))
         fh.write(sidecar)
     return {"header": len(head), "block": stored.nbytes, "sidecar": 8 + len(sidecar)}

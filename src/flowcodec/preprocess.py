@@ -96,10 +96,8 @@ def fit(matrix: np.ndarray, feature_names: tuple[str, ...] | None = None) -> Pre
 
     p99_9 = np.quantile(matrix, CLIP_QUANTILE, axis=0, method="linear")
     clipped = np.minimum(matrix, p99_9)
-    median = np.quantile(clipped, 0.5, axis=0, method="linear")
-    iqr = np.quantile(clipped, 0.75, axis=0, method="linear") - np.quantile(
-        clipped, 0.25, axis=0, method="linear"
-    )
+    q1, median, q3 = np.quantile(clipped, [0.25, 0.5, 0.75], axis=0, method="linear")
+    iqr = q3 - q1
     iqr = np.where(iqr == 0.0, 1.0, iqr)
     return PreprocessorState(
         feature_names=tuple(feature_names), p99_9=p99_9, median=median, iqr=iqr, fitted_on=n

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from flowcodec.autoencoder import (
     train,
 )
 from flowcodec.errors import DataError, DivergenceError, ModelFormatError
-from flowcodec.neural import TrainConfig, huber_loss, huber_loss_grad, init_layers
+from flowcodec.neural import _BLOCK_ROWS, TrainConfig, huber_loss, huber_loss_grad, init_layers
 
 
 def tiny_config(**kw):
@@ -320,18 +322,45 @@ def test_train_matches_reference_loop_bit_for_bit(decoupled, n, batch_size, max_
 
 
 def test_encode_decode_match_the_reference_forward():
+    # Each row count is checked against one reference call over all its
+    # rows. From 2 * _BLOCK_ROWS rows on, encode and decode run in blocks,
+    # the last one taking the remainder, and every row must keep the bits
+    # that the one call gives it. The block constant itself is used: a
+    # smaller one would reach row counts that BLAS may round differently.
     xtr, xte = tiny_data(seed=14)
     model, _ = train(xtr, xte, tiny_config(max_epochs=2))
-    x = tiny_data(n=3750, seed=15)[0]
-    assert x.shape[0] == 3000
     layers = [(l.W, l.b) for l in model.layers]
-    cache = []
-    _ref_forward(layers, x, model.slope, cache)
-    # The decoder's first input is the bottleneck's activated output.
-    z = cache[model.n_encoder][0]
-    assert encode(model, x).tobytes() == z.tobytes()
-    want = _ref_forward(layers[model.n_encoder :], z, model.slope)
-    assert decode(model, z).tobytes() == want.tobytes()
+    rows = tiny_data(n=16000, seed=15)[0]
+    for n in (3000, 2 * _BLOCK_ROWS - 1, 2 * _BLOCK_ROWS, 2 * _BLOCK_ROWS + 1, 3 * _BLOCK_ROWS + 65):
+        x = rows[:n]
+        cache = []
+        want = _ref_forward(layers, x, model.slope, cache)
+        # The decoder's first input is the bottleneck's activated output.
+        z = cache[model.n_encoder][0]
+        assert encode(model, x).tobytes() == z.tobytes(), n
+        assert decode(model, z).tobytes() == _ref_forward(layers[model.n_encoder :], z, model.slope).tobytes(), n
+        assert reconstruct(model, x).tobytes() == want.tobytes(), n
+
+
+def test_encode_decode_peak_memory_is_bounded_by_the_block():
+    # A block has fewer than 2 * _BLOCK_ROWS rows, and at most three
+    # activation arrays (a layer's input, its pre-activation and its output)
+    # are alive at once, none wider than the widest layer. The row count
+    # does not enter the bound: one call over these rows peaks near 63 MB.
+    xtr, xte = tiny_data(seed=17)
+    model, _ = train(xtr, xte, tiny_config(max_epochs=2))
+    assert model.dims == architecture_dims(21)
+    x = np.random.default_rng(17).standard_normal((6 * _BLOCK_ROWS + 65, 21))
+    z = encode(model, x)
+    bound = 2 * _BLOCK_ROWS * 3 * max(model.dims) * 8
+    for fn, inputs in ((encode, x), (decode, z)):
+        tracemalloc.start()
+        try:
+            out = fn(model, inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < bound, fn.__name__
 
 
 # ---------------------------------------------------------------- codec

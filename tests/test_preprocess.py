@@ -48,6 +48,24 @@ def test_statistics_use_clipped_values():
     assert s2.iqr[0] == pytest.approx(expected_iqr, rel=1e-12)
 
 
+def test_quartiles_match_one_quantile_call_per_statistic():
+    # fit takes both quartiles and the median from one np.quantile call; each
+    # must have the bytes that its own call gives. Half the matrices are
+    # rounded to integers so that ties occur.
+    rng = np.random.default_rng(21)
+    for i in range(40):
+        m = rng.lognormal(3.0, 2.0, size=(int(rng.integers(4, 3000)), 21))
+        if i % 2:
+            m = np.round(m)
+        state = fit(m)
+        p = np.quantile(m, 0.999, axis=0, method="linear")
+        clipped = np.minimum(m, p)
+        q1, q2, q3 = (np.quantile(clipped, q, axis=0, method="linear") for q in (0.25, 0.5, 0.75))
+        assert state.p99_9.tobytes() == p.tobytes()
+        assert state.median.tobytes() == q2.tobytes()
+        assert state.iqr.tobytes() == np.where(q3 - q1 == 0.0, 1.0, q3 - q1).tobytes()
+
+
 def test_constant_column_gets_unit_scale():
     m = np.column_stack([np.full(10, 7.0), np.arange(10.0)])
     state = fit(m)
