@@ -195,16 +195,23 @@ def huber_loss(y: np.ndarray, yhat: np.ndarray, delta: float) -> float:
 
     The penalty is computed elementwise in the inputs' dtype (float32 for a
     training batch) and summed in float64, so the mean of a float32 batch is
-    not cut to float32 and no float64 copy of the batch is made."""
+    not cut to float32 and no float64 copy of the batch is made. At most
+    three arrays of the inputs' size, and one bool mask, are alive at once:
+    the linear branch is formed in place in ``|r|``, the quadratic one in a
+    second array, and the residual is dropped before ``where`` picks."""
     y = np.asarray(y)
     yhat = np.asarray(yhat)
     if y.shape != yhat.shape:
         raise DataError(f"shape mismatch: {y.shape} vs {yhat.shape}")
     r = y - yhat
-    a = np.abs(r)
-    quad = 0.5 * r * r
-    lin = delta * (a - 0.5 * delta)
-    return float(np.mean(np.where(a <= delta, quad, lin), dtype=np.float64))
+    penalty = np.abs(r)
+    small = penalty <= delta
+    quad = 0.5 * r
+    quad *= r
+    del r
+    penalty -= 0.5 * delta
+    penalty *= delta
+    return float(np.mean(np.where(small, quad, penalty), dtype=np.float64))
 
 
 def huber_loss_grad(y: np.ndarray, yhat: np.ndarray, delta: float) -> np.ndarray:

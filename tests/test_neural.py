@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,33 @@ def test_huber_loss_means_over_all_elements():
     assert huber_loss(y, yhat, 1.0) == pytest.approx(expected)
     with pytest.raises(DataError):
         huber_loss(y, np.zeros(3), 1.0)
+
+
+def test_huber_loss_matches_the_two_branch_formula():
+    # The same float as the penalty written out with both branches whole.
+    rng = np.random.default_rng(5)
+    for dtype in (np.float32, np.float64):
+        for delta in (1e-3, 0.5, 1.0, 2.0):
+            for scale in (1e-4, 0.01, 1.0, 10.0):
+                y = (rng.normal(size=(64, 21)) * scale).astype(dtype)
+                yhat = rng.normal(size=(64, 21)).astype(dtype)
+                r = y - yhat
+                a = np.abs(r)
+                expected = np.mean(np.where(a <= delta, 0.5 * r * r, delta * (a - 0.5 * delta)), dtype=np.float64)
+                assert huber_loss(y, yhat, delta) == float(expected)
+
+
+def test_huber_loss_holds_at_most_three_input_sized_arrays():
+    rng = np.random.default_rng(6)
+    y, yhat = rng.normal(size=(25_000, 21)), rng.normal(size=(25_000, 21))
+    tracemalloc.start()
+    try:
+        huber_loss(y, yhat, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Three float64 arrays and one bool mask of the inputs' shape, and slack.
+    assert peak < 3.5 * y.nbytes
 
 
 def test_huber_grad_matches_finite_differences():
