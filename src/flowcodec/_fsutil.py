@@ -5,10 +5,10 @@ the old file or the complete new one, never a torn one; each CSV report goes
 through `write_table` on top of it. Every artifact it reads back goes through
 `read_frame` or `read_json` and then `field`, which raise ModelFormatError
 for any defect. `build` is the one way from a JSON object to a checked
-dataclass: the pipeline config, a synthetic class spec, a forest's tree
-limits. The binary containers (FCAE models, FCLZ latents) share one
-frame: a 4-byte magic, a little-endian u32 version and u32 header length,
-then a UTF-8 JSON header object.
+dataclass: the pipeline config and each synthetic class spec inside it.
+The binary containers (FCAE models, FCLZ latents) share one frame: a 4-byte
+magic, a little-endian u32 version and u32 header length, then a UTF-8 JSON
+header object.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import ConfigError, DataError, FlowcodecError, ModelFormatError
+from .errors import ConfigError, DataError, ModelFormatError
 
 _FRAME = struct.Struct("<II")
 
@@ -162,66 +162,64 @@ def _first_misfit(items) -> tuple[str, str] | None:
     return next(filter(None, (_misfit(value, kind, path) for path, value, kind in items)), None)
 
 
-def build(cls, block, where: str, error: type[FlowcodecError] = ConfigError, prefix: str = ""):
+def build(cls, block, where: str, prefix: str = ""):
     """Dataclass ``cls`` built from the JSON object ``block``, with each
     dataclass inside it built from its nested object and each JSON list that
     stands for a tuple made one. A non-object block, a key ``cls`` lacks, a
     value that does not `conform` to its field or a value that ``cls``
-    refuses raises ``error``, naming ``where``; a nested object is named by
-    its dotted path, which ``prefix`` starts. Omitted keys keep the
+    refuses raises ConfigError, naming ``where``; a nested object is named
+    by its dotted path, which ``prefix`` starts. Omitted keys keep the
     dataclass defaults."""
     if not isinstance(block, dict):
-        raise error(f"{where} must hold a JSON object")
+        raise ConfigError(f"{where} must hold a JSON object")
     hints = get_type_hints(cls)
     unknown = set(block) - set(hints)
     if unknown:
-        raise error(f"unknown keys in {where}: {sorted(unknown)}")
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
     kwargs = {}
     for key, hint in hints.items():  # declaration order, so nested blocks build in a fixed order
         if key in block:
             misfit = _misfit(block[key], hint, prefix + key)
             if misfit is not None:  # a nested block's prefix already names it
                 message = " ".join(misfit)
-                raise error(message if prefix else f"{where}: {message}")
-            kwargs[key] = _convert(block[key], hint, prefix + key, error)
+                raise ConfigError(message if prefix else f"{where}: {message}")
+            kwargs[key] = _convert(block[key], hint, prefix + key)
     try:
         return cls(**kwargs)
     except (DataError, TypeError, ValueError) as exc:
-        raise error(f"bad {where} block: {exc}") from exc
+        raise ConfigError(f"bad {where} block: {exc}") from exc
 
 
-def _convert(value, kind, path: str, error):
+def _convert(value, kind, path: str):
     """``value``, which conforms to ``kind``, with its dataclasses built and
     its tuples made; ``path`` names it in an error."""
     origin, args = get_origin(kind), get_args(kind)
     if is_dataclass(kind):
-        return build(kind, value, path, error, path + ".")
+        return build(kind, value, path, path + ".")
     if origin in (Union, UnionType):
-        return _convert(value, next(k for k in args if conforms(value, k)), path, error)
+        return _convert(value, next(k for k in args if conforms(value, k)), path)
     if origin in (list, tuple):
         kinds = args if origin is tuple and args[-1] is not Ellipsis else args[:1] * len(value)
-        items = [_convert(v, k, f"{path}[{i}]", error) for i, (v, k) in enumerate(zip(value, kinds))]
+        items = [_convert(v, k, f"{path}[{i}]") for i, (v, k) in enumerate(zip(value, kinds))]
         return items if origin is list else tuple(items)
     if origin is dict:
-        return {k: _convert(v, args[1], f"{path}[{k!r}]", error) for k, v in value.items()}
+        return {k: _convert(v, args[1], f"{path}[{k!r}]") for k, v in value.items()}
     return value
 
 
-def field(doc: dict, key: str, kind, where, ndim: int = 1):
-    """``doc[key]`` if it `conforms` to ``kind``. For ``np.int64`` or
-    ``np.float64`` it must be an ``ndim``-deep list of numbers, returned as
-    an array of that dtype."""
+def field(doc: dict, key: str, kind, where):
+    """``doc[key]`` if it `conforms` to ``kind``. For ``np.float64`` it must
+    be a flat list of numbers, returned as a float64 array."""
     if key not in doc:
         raise ModelFormatError(f"{where}: missing field {key!r}")
     value = doc[key]
-    if kind in (np.int64, np.float64):
+    if kind is np.float64:
         try:
             arr = np.asarray(value)
         except ValueError:  # ragged nesting; the 0-d stand-in fails the ndim test
             arr = np.asarray(None)
-        numbers = "i" if kind is np.int64 else "iuf"
-        if arr.ndim == ndim and (arr.size == 0 or arr.dtype.kind in numbers):
-            return arr.astype(kind)
+        if arr.ndim == 1 and (arr.size == 0 or arr.dtype.kind in "iuf"):
+            return arr.astype(np.float64)
     elif conforms(value, kind):
         return value
     raise ModelFormatError(f"{where}: field {key!r} has the wrong type: {value!r:.60}")

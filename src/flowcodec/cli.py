@@ -38,7 +38,7 @@ from .flow_data import (
     stratified_split,
     write_csv,
 )
-from .forest import DEFAULT_N_TREES, TreeParams, fit_forest, predict, save_forest
+from .forest import DEFAULT_N_TREES, TreeParams, fit_forest, predict
 from .latent import DEFAULT_LATENT_DTYPE, LATENT_DTYPES, read_latent, write_latent
 from .neural import TrainConfig
 
@@ -50,11 +50,9 @@ EXIT_DIVERGENCE = 3
 
 @dataclass(frozen=True)
 class ForestSettings(TreeParams):
-    """The trees' growth limits plus how many trees to grow and whether
-    `classify` and `compare` save them."""
+    """The trees' growth limits plus how many trees to grow."""
 
     n_trees: int = DEFAULT_N_TREES
-    save_model: bool = False
 
     def __post_init__(self) -> None:
         if self.n_trees < 1:
@@ -370,22 +368,20 @@ def _classify_arms(args, cfg: PipelineConfig, arms: tuple[str, ...], task: str):
             params=cfg.forest,
             seed=cfg.seed,
         )
-        report = classify_eval.score(
-            ds.label_ids[test_rows], predict(forest, x[test_rows]), tuple(ds.class_names)
-        )
+        predicted = predict(forest, x[test_rows])
+        del forest  # freed before the next arm fits its own
+        report = classify_eval.score(ds.label_ids[test_rows], predicted, tuple(ds.class_names))
         report.warnings.extend(warnings[arm])
-        fitted.append((arm, report, forest))
+        fitted.append((arm, report))
 
     out = _out_dir(args)
-    for arm, report, forest in fitted:
+    for arm, report in fitted:
         report.save_json(out / f"classification_report_{arm}.json")
         report.save_confusion_csv(out / f"confusion_{arm}.csv")
         report.save_confusion_csv(out / f"confusion_{arm}_normalized.csv", normalized=True)
         with atomic_write(out / f"classification_{arm}.txt") as fh:
             fh.write(report.text_table())
-        if cfg.forest.save_model:
-            save_forest(forest, out / f"forest_{arm}.json")
-    return out, [report for _, report, _ in fitted]
+    return out, [report for _, report in fitted]
 
 
 def cmd_classify(args) -> int:

@@ -146,7 +146,6 @@ class SplitIndices:
 
     train: tuple[int, ...]
     test: tuple[int, ...]
-    seed: int
 
 
 def _header_index(reader, path: Path, schema: FeatureSchema) -> dict[str, int]:
@@ -396,7 +395,7 @@ def stratified_split(dataset: Dataset, test_fraction: float, seed: int) -> Split
         k = base[name]
         test.extend(shuffled[:k].tolist())
         train.extend(shuffled[k:].tolist())
-    return SplitIndices(train=tuple(sorted(train)), test=tuple(sorted(test)), seed=seed)
+    return SplitIndices(train=tuple(sorted(train)), test=tuple(sorted(test)))
 
 
 def random_split(n: int, test_fraction: float, seed: int) -> SplitIndices:
@@ -406,9 +405,7 @@ def random_split(n: int, test_fraction: float, seed: int) -> SplitIndices:
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     k = round(test_fraction * n)
-    return SplitIndices(
-        train=tuple(sorted(perm[k:].tolist())), test=tuple(sorted(perm[:k].tolist())), seed=seed
-    )
+    return SplitIndices(train=tuple(sorted(perm[k:].tolist())), test=tuple(sorted(perm[:k].tolist())))
 
 
 @dataclass
@@ -423,7 +420,7 @@ class SyntheticClassSpec:
     lognormal_params: dict[str, tuple[float, float]] = field(default_factory=dict)
 
     @classmethod
-    def from_medians(cls, name: str, medians: dict[str, float], sigma: float = 0.35) -> "SyntheticClassSpec":
+    def from_medians(cls, name: str, medians: dict[str, float], sigma: float) -> "SyntheticClassSpec":
         # Median of lognormal(mu, sigma) is exp(mu).
         return cls(name=name, lognormal_params={k: (math.log(v), sigma) for k, v in medians.items()})
 

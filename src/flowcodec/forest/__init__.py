@@ -14,10 +14,8 @@ from .model import (
     TreeParams,
     fit_forest,
     fit_tree,
-    load_forest,
     predict,
     predict_tree,
-    save_forest,
 )
 from .splitter import backend_name
 
@@ -29,8 +27,6 @@ __all__ = [
     "backend_name",
     "fit_forest",
     "fit_tree",
-    "load_forest",
     "predict",
     "predict_tree",
-    "save_forest",
 ]

@@ -1,24 +1,20 @@
 """CART trees and bagging.
 
 Trees are stored as flat preorder arrays rather than node objects: children
-always carry a higher index than their parent, which serialization and the
-vectorized traversal both rely on.
+always carry a higher index than their parent, so the vectorized traversal
+in `predict_tree` only moves forward and always ends.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
-from pathlib import Path
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .._fsutil import field as json_field
-from .._fsutil import build, read_json, write_json
-from ..errors import DataError, ModelFormatError
+from ..errors import DataError
 from . import splitter
 
-FOREST_FORMAT_VERSION = 1
 DEFAULT_N_TREES = 100
 
 
@@ -206,8 +202,6 @@ class ForestModel:
     trees: list[DecisionTree]
     n_features: int
     n_classes: int
-    params: TreeParams
-    seed: int
 
     @property
     def n_trees(self) -> int:
@@ -240,9 +234,7 @@ def fit_forest(
         boot_seed, tree_seed = np.random.SeedSequence([seed, i]).spawn(2)
         rows = np.random.default_rng(boot_seed).integers(0, n, size=n)
         trees.append(fit_tree(X[rows], y[rows], n_classes, params, tree_seed))
-    return ForestModel(
-        trees=trees, n_features=X.shape[1], n_classes=n_classes, params=params, seed=seed
-    )
+    return ForestModel(trees=trees, n_features=X.shape[1], n_classes=n_classes)
 
 
 def predict(model: ForestModel, X: np.ndarray) -> np.ndarray:
@@ -256,86 +248,3 @@ def predict(model: ForestModel, X: np.ndarray) -> np.ndarray:
         votes[rows, predict_tree(tree, X)] += 1
     return np.argmax(votes, axis=1).astype(np.int64)
 
-
-def save_forest(model: ForestModel, path: str | Path) -> None:
-    """JSON container; leaf counts only, since internal counts are the sums
-    of their children. Written atomically."""
-    trees = []
-    for tree in model.trees:
-        leaf_rows = tree.class_counts[tree.feature < 0]
-        trees.append(
-            {
-                "feature": tree.feature.tolist(),
-                "threshold": tree.threshold.tolist(),
-                "left": tree.left.tolist(),
-                "right": tree.right.tolist(),
-                "leaf_counts": leaf_rows.tolist(),
-            }
-        )
-    doc = {
-        "format_version": FOREST_FORMAT_VERSION,
-        "n_features": model.n_features,
-        "n_classes": model.n_classes,
-        "n_trees": model.n_trees,
-        "seed": model.seed,
-        # Only the TreeParams fields: the CLI passes a subclass with settings of its own.
-        "params": {f.name: getattr(model.params, f.name) for f in fields(TreeParams)},
-        "trees": trees,
-    }
-    write_json(path, doc, sort_keys=True)
-
-
-def load_forest(path: str | Path) -> ForestModel:
-    """Read a forest back. Its params are checked as `build` checks a config,
-    it must list n_trees >= 1 trees, and each tree must keep the preorder
-    layout predict relies on: every child id lies in (node, n_nodes), every
-    split feature in [0, n_features), every threshold is finite and no leaf
-    count is negative."""
-    doc = read_json(path, "forest file")
-    if doc.get("format_version") != FOREST_FORMAT_VERSION:
-        raise ModelFormatError(f"unsupported forest file version in {path}")
-    n_features = json_field(doc, "n_features", int, path)
-    n_classes = json_field(doc, "n_classes", int, path)
-    seed = json_field(doc, "seed", int, path)
-    if n_features < 1 or n_classes < 1:
-        raise ModelFormatError(f"{path}: implausible forest shape ({n_features}, {n_classes})")
-    params = build(TreeParams, json_field(doc, "params", dict, path), f"{path} params", ModelFormatError)
-    n_trees = json_field(doc, "n_trees", int, path)
-    tree_docs = json_field(doc, "trees", list[dict], path)
-    if not tree_docs or n_trees != len(tree_docs):
-        raise ModelFormatError(f"{path}: {len(tree_docs)} trees for n_trees {n_trees}; a forest holds n_trees >= 1")
-    trees = []
-    for i, t in enumerate(tree_docs):
-        where = f"{path}: tree {i}"
-        feature, left, right = (json_field(t, k, np.int64, where) for k in ("feature", "left", "right"))
-        threshold = json_field(t, "threshold", np.float64, where)
-        n_nodes = feature.shape[0]
-        if n_nodes == 0 or not left.shape == right.shape == threshold.shape == feature.shape:
-            raise ModelFormatError(f"{where}: node arrays are empty or disagree in length")
-        internal = feature >= 0
-        parent = np.arange(n_nodes)[internal]
-        for child in (left[internal], right[internal]):
-            if (child <= parent).any() or (child >= n_nodes).any():
-                raise ModelFormatError(f"{where}: child ids break the preorder layout")
-        if (feature >= n_features).any() or (feature < -1).any():
-            raise ModelFormatError(f"{where}: split feature outside [0, {n_features})")
-        if not np.isfinite(threshold).all():
-            raise ModelFormatError(f"{where}: non-finite threshold")
-        counts = np.zeros((n_nodes, n_classes), dtype=np.int64)
-        leaf_rows = json_field(t, "leaf_counts", np.int64, where, ndim=2)
-        if leaf_rows.shape != (n_nodes - int(internal.sum()), n_classes):
-            raise ModelFormatError(f"leaf count block malformed in {path}")
-        if (leaf_rows < 0).any():
-            raise ModelFormatError(f"{where}: negative leaf count")
-        counts[~internal] = leaf_rows
-        # Children have higher preorder ids, so one reverse sweep fills
-        # internal counts bottom-up.
-        for node in range(n_nodes - 1, -1, -1):
-            if internal[node]:
-                counts[node] = counts[left[node]] + counts[right[node]]
-        trees.append(
-            DecisionTree(feature=feature, threshold=threshold, left=left, right=right, class_counts=counts)
-        )
-    return ForestModel(
-        trees=trees, n_features=n_features, n_classes=n_classes, params=params, seed=seed
-    )

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import flowcodec
 from flowcodec.cli import load_config, main
 from flowcodec.errors import ConfigError
 from flowcodec.flow_data import default_class_specs
@@ -33,6 +34,21 @@ def fast_config(tmp_path):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def readme_report_files():
+    """Each command's report file names as README's Reports table lists
+    them, ``<arm>`` left as written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Reports", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| (.*) \|$", section, flags=re.MULTILINE)
+    return {command: re.findall(r"`([\w<>]+\.\w+)`", files) for command, files in rows}
+
+
+def test_every_exported_name_resolves():
+    for module in (flowcodec, flowcodec.forest):
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.__all__ lists {name!r}"
 
 
 # ---------------------------------------------------------------- config
@@ -101,7 +117,6 @@ def test_load_config_rejects_bad_input(tmp_path):
         {"latent_dtype": 32},
         {"latent_dtype": "float16"},
         {"forest": {"n_trees": "3"}},
-        {"forest": {"save_model": "yes"}},
         {"forest": 5},
         {"metrics": {"kl_bins": "x"}},
         {"train": {"max_epochs": 2.5}},
@@ -231,6 +246,23 @@ def test_unwritable_output_exits_2_naming_the_path_given(tmp_path, capsys):
         assert err.startswith("error: ") and reason in err and repr(str(out)) in err
         assert ".tmp" not in err
     assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+
+@pytest.mark.parametrize("value", [True, False, "yes"])
+def test_removed_forest_save_model_key_exits_1(tmp_path, capsys, value):
+    # Forests are never written, so a config that still asks whether to
+    # write them is refused by name rather than ignored.
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"forest": {"save_model": value}}))
+    with pytest.raises(ConfigError, match="save_model"):
+        load_config(str(p))
+    missing = str(tmp_path / "missing")
+    code = main(["compare", "--config", str(p), "--input", missing + ".csv",
+                 "--model", missing + ".fcae", "--preprocessor", missing + ".json",
+                 "--output-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert "save_model" in capsys.readouterr().err
+    assert [q.name for q in tmp_path.iterdir()] == ["c.json"]
 
 
 def test_bad_config_exits_1(tmp_path, capsys):
@@ -385,12 +417,19 @@ def test_full_pipeline(tmp_path, fast_config, capsys):
     rows = read_rows(data)
     assert len(rows) == 300
 
+    # Each --output-dir holds exactly the files README's Reports table lists.
+    listed = readme_report_files()
+
+    def listing(directory):
+        return sorted(p.name for p in directory.iterdir())
+
+    def arm_files(*arms):
+        return [name.replace("<arm>", arm) for arm in arms for name in listed["classify"]]
+
     out = tmp_path / "out"
     assert main(["train", "--config", fast_config, "--input", str(data),
                  "--output-dir", str(out)]) == 0
-    for name in ("autoencoder.fcae", "preprocessor.json", "training_history.csv",
-                 "train_summary.json"):
-        assert (out / name).exists(), name
+    assert listing(out) == sorted(listed["train"])
     summary = json.loads((out / "train_summary.json").read_text())
     assert summary["epochs_run"] <= 8
     assert summary["best_test_loss"] > 0
@@ -433,9 +472,7 @@ def test_full_pipeline(tmp_path, fast_config, capsys):
     assert report["compression"]["ratio"] == pytest.approx(21 * 8 / (4 * 4))
     assert len(report["per_feature"]) == 21
     assert all(f["kl_divergence"] >= 0 for f in report["per_feature"])
-    for name in ("feature_reconstruction.csv", "correlation_difference.csv",
-                 "row_percent_errors.csv"):
-        assert (eval_dir / name).exists(), name
+    assert listing(eval_dir) == sorted(listed["evaluate"])
 
     cls_dir = tmp_path / "cls"
     assert main(["classify", "--config", fast_config, "--input", str(data),
@@ -443,6 +480,7 @@ def test_full_pipeline(tmp_path, fast_config, capsys):
     cls = json.loads((cls_dir / "classification_report_original.json").read_text())
     assert set(cls["class_names"]) == {"bulk", "chat", "video", "voip", "web"}
     assert 0 < cls["accuracy"] <= 1
+    assert listing(cls_dir) == sorted(arm_files("original"))
 
     cmp_dir = tmp_path / "cmp"
     assert main(["compare", "--config", fast_config, "--input", str(data),
@@ -450,9 +488,7 @@ def test_full_pipeline(tmp_path, fast_config, capsys):
                  "--output-dir", str(cmp_dir)]) == 0
     cmp_doc = json.loads((cmp_dir / "comparison_report.json").read_text())
     assert cmp_doc["original"]["accuracy"] > 0
-    assert (cmp_dir / "comparison.txt").exists()
-    assert (cmp_dir / "classification_report_original.json").exists()
-    assert (cmp_dir / "classification_report_compressed.json").exists()
+    assert listing(cmp_dir) == sorted(arm_files("original", "compressed") + listed["compare"])
 
 
 def test_evaluate_from_model_matches_reconstructed_csv(tmp_path, fast_config):

@@ -1,9 +1,7 @@
-import json
-
 import numpy as np
 import pytest
 
-from flowcodec.errors import DataError, ModelFormatError
+from flowcodec.errors import DataError
 from flowcodec.forest import (
     DecisionTree,
     ForestModel,
@@ -11,10 +9,8 @@ from flowcodec.forest import (
     backend_name,
     fit_forest,
     fit_tree,
-    load_forest,
     predict,
     predict_tree,
-    save_forest,
 )
 from flowcodec.forest.splitter import scan_sorted
 
@@ -472,10 +468,7 @@ def test_forest_majority_vote_tie_breaks_low_id():
             left=np.array([-1]), right=np.array([-1]), class_counts=counts,
         )
 
-    model = ForestModel(
-        trees=[stump(2, 3), stump(1, 3)], n_features=2, n_classes=3,
-        params=TreeParams(), seed=0,
-    )
+    model = ForestModel(trees=[stump(2, 3), stump(1, 3)], n_features=2, n_classes=3)
     # One vote each for classes 1 and 2: the tie resolves to class 1.
     assert predict(model, np.zeros((4, 2))).tolist() == [1, 1, 1, 1]
     with pytest.raises(DataError):
@@ -490,115 +483,3 @@ def test_forest_improves_over_noisy_labels():
     acc = float(np.mean(predict(model, X[300:]) == y[300:]))
     assert acc > 0.9
 
-
-# ---------------------------------------------------------------- persistence
-
-
-def test_forest_save_load_round_trip(tmp_path):
-    rng = np.random.default_rng(17)
-    X = rng.normal(size=(150, 5))
-    y = rng.integers(0, 3, size=150).astype(np.int64)
-    model = fit_forest(X, y, n_classes=3, n_trees=4, seed=9,
-                       params=TreeParams(max_depth=6))
-    path = tmp_path / "forest.json"
-    save_forest(model, path)
-    loaded = load_forest(path)
-    assert loaded.n_features == 5
-    assert loaded.n_classes == 3
-    assert loaded.seed == 9
-    assert loaded.params == model.params
-    for ta, tb in zip(model.trees, loaded.trees):
-        assert np.array_equal(ta.feature, tb.feature)
-        assert np.array_equal(ta.threshold, tb.threshold)
-        assert np.array_equal(ta.left, tb.left)
-        assert np.array_equal(ta.right, tb.right)
-        assert np.array_equal(ta.class_counts, tb.class_counts)
-    probe = rng.normal(size=(30, 5))
-    assert np.array_equal(predict(model, probe), predict(loaded, probe))
-
-
-def test_forest_save_is_deterministic(tmp_path):
-    rng = np.random.default_rng(18)
-    X = rng.normal(size=(80, 3))
-    y = rng.integers(0, 2, size=80).astype(np.int64)
-    model = fit_forest(X, y, n_classes=2, n_trees=2, seed=1)
-    save_forest(model, tmp_path / "a.json")
-    save_forest(model, tmp_path / "b.json")
-    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
-
-
-def test_load_forest_rejects_corrupt_files(tmp_path):
-    p = tmp_path / "bad.json"
-    p.write_text("{oops")
-    with pytest.raises(ModelFormatError):
-        load_forest(p)
-    p.write_text(json.dumps({"format_version": 99}))
-    with pytest.raises(ModelFormatError):
-        load_forest(p)
-
-    rng = np.random.default_rng(19)
-    X = rng.normal(size=(40, 3))
-    y = rng.integers(0, 2, size=40).astype(np.int64)
-    model = fit_forest(X, y, n_classes=2, n_trees=1, seed=1)
-    good = tmp_path / "good.json"
-    save_forest(model, good)
-    doc = json.loads(good.read_text())
-    doc["trees"][0]["leaf_counts"] = doc["trees"][0]["leaf_counts"][:-1]
-    bad = tmp_path / "mangled.json"
-    bad.write_text(json.dumps(doc))
-    with pytest.raises(ModelFormatError, match="leaf count"):
-        load_forest(bad)
-
-    good_doc = json.loads(good.read_text())
-    tree = good_doc["trees"][0]
-    root_left = tree["left"][0]
-    assert root_left > 0  # the root splits, so these mutations hit a live node
-
-    def mutated(change):
-        doc = json.loads(good.read_text())
-        change(doc, doc["trees"][0])
-        return doc
-
-    for doc in (
-        mutated(lambda d, t: d.pop("n_classes")),
-        mutated(lambda d, t: d.update(n_classes="2")),
-        mutated(lambda d, t: d.update(trees={})),
-        mutated(lambda d, t: d.update(params=[])),
-        mutated(lambda d, t: d.update(params={"max_depth": "deep"})),
-        mutated(lambda d, t: t.pop("threshold")),
-        mutated(lambda d, t: t.update(feature=[str(f) for f in t["feature"]])),
-        mutated(lambda d, t: t.update(right=t["right"][:-1])),
-        mutated(lambda d, t: t["left"].__setitem__(0, 10**6)),
-        mutated(lambda d, t: t["left"].__setitem__(0, -3)),
-        mutated(lambda d, t: t["left"].__setitem__(0, 0)),
-        mutated(lambda d, t: t["feature"].__setitem__(0, 3)),
-        mutated(lambda d, t: t["feature"].__setitem__(0, -2)),
-        mutated(lambda d, t: t.update(leaf_counts=[[1, 2], [3]])),
-        mutated(lambda d, t: t["threshold"].__setitem__(0, float("nan"))),
-        mutated(lambda d, t: t["threshold"].__setitem__(0, float("inf"))),
-        mutated(lambda d, t: t["threshold"].__setitem__(-1, float("-inf"))),
-        mutated(lambda d, t: t["leaf_counts"][0].__setitem__(0, -1)),
-        [good_doc],
-        # Tree params are typed as a config's forest block is.
-        mutated(lambda d, t: d["params"].update(max_depth=2.5)),
-        mutated(lambda d, t: d["params"].update(min_samples_split=True)),
-        mutated(lambda d, t: d["params"].update(max_features=[1])),
-        # No trees would vote class 0 for every row.
-        mutated(lambda d, t: d.update(trees=[], n_trees=0)),
-        mutated(lambda d, t: d.update(n_trees=2)),
-        mutated(lambda d, t: d.pop("n_trees")),
-    ):
-        bad.write_text(json.dumps(doc))
-        with pytest.raises(ModelFormatError):
-            load_forest(bad)
-
-    # A misspelt limit is refused, not dropped for its default.
-    bad.write_text(json.dumps(mutated(lambda d, t: d["params"].update(max_dept=3))))
-    with pytest.raises(ModelFormatError, match=r"unknown keys in .* params: \['max_dept'\]"):
-        load_forest(bad)
-
-    # A node that lists itself as a child made predict loop forever; the
-    # loader must refuse it before predict ever runs.
-    bad.write_text(json.dumps(mutated(lambda d, t: t["right"].__setitem__(0, 0))))
-    with pytest.raises(ModelFormatError, match="preorder"):
-        load_forest(bad)
