@@ -20,7 +20,6 @@ from .flow_data import (
     default_class_specs,
     generate_synthetic,
     load_csv,
-    random_split,
     read_features,
     stratified_split,
     write_csv,
@@ -56,7 +55,6 @@ __all__ = [
     "load_model",
     "neural",
     "preprocess",
-    "random_split",
     "read_features",
     "save_model",
     "stratified_split",

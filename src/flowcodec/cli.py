@@ -28,12 +28,10 @@ from .flow_data import (
     DEFAULT_SIGMA,
     Dataset,
     FeatureSchema,
-    SplitIndices,
     SyntheticClassSpec,
     default_class_specs,
     generate_synthetic,
     load_csv,
-    random_split,
     read_features,
     stratified_split,
     write_csv,
@@ -85,7 +83,6 @@ class PipelineConfig:
 
     seed: int = 42
     test_fraction: float = 0.2
-    fit_preprocessor_on: str = "train"
     hidden: tuple[int, ...] = autoencoder.DEFAULT_HIDDEN
     latent_dim: int = autoencoder.DEFAULT_LATENT
     latent_dtype: str = DEFAULT_LATENT_DTYPE
@@ -100,10 +97,6 @@ class PipelineConfig:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
-        if self.fit_preprocessor_on not in ("train", "all"):
-            raise ConfigError(
-                f"fit_preprocessor_on must be 'train' or 'all', got {self.fit_preprocessor_on!r}"
-            )
         if self.latent_dtype not in LATENT_DTYPES:
             raise ConfigError(f"latent_dtype must be one of {sorted(LATENT_DTYPES)}, got {self.latent_dtype!r}")
         if self.latent_dim < 1 or any(h < 1 for h in self.hidden):
@@ -186,12 +179,6 @@ def _open_model(args, schema: FeatureSchema):
     return model, state, warnings
 
 
-def _split(ds: Dataset, cfg: PipelineConfig) -> SplitIndices:
-    if ds.is_labeled:
-        return stratified_split(ds, cfg.test_fraction, cfg.seed)
-    return random_split(len(ds), cfg.test_fraction, cfg.seed)
-
-
 def cmd_synth(args) -> int:
     cfg = load_config(args.config, args.seed)
     specs = cfg.synth.class_specs if cfg.synth.class_specs is not None else default_class_specs(cfg.synth.sigma)
@@ -205,12 +192,9 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.seed)
     ds = load_csv(args.input, cfg.schema)
-    split = _split(ds, cfg)
-    train_rows = np.asarray(split.train, dtype=np.int64)
-    test_rows = np.asarray(split.test, dtype=np.int64)
+    train_rows, test_rows = stratified_split(ds, cfg.test_fraction, cfg.seed)
 
-    fit_matrix = ds.features if cfg.fit_preprocessor_on == "all" else ds.features[train_rows]
-    state = preprocess.fit(fit_matrix, cfg.schema.compressible_columns)
+    state = preprocess.fit(ds.features[train_rows], cfg.schema.compressible_columns)
     x_train = preprocess.transform(ds.features[train_rows], state)
     x_test = preprocess.transform(ds.features[test_rows], state)
 
@@ -348,9 +332,7 @@ def _classify_arms(args, cfg: PipelineConfig, arms: tuple[str, ...], task: str):
         raise DataError(f"{task} requires a labeled dataset")
     if len(ds.class_names) < 2:
         raise DataError(f"{task} requires at least 2 classes")
-    split = _split(ds, cfg)
-    train_rows = np.asarray(split.train, dtype=np.int64)
-    test_rows = np.asarray(split.test, dtype=np.int64)
+    train_rows, test_rows = stratified_split(ds, cfg.test_fraction, cfg.seed)
 
     features, warnings = {"original": ds.features}, {"original": []}
     if "compressed" in arms:

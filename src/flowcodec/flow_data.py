@@ -27,6 +27,7 @@ import warnings
 from dataclasses import dataclass, field
 from operator import itemgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,12 +141,12 @@ class Dataset:
         return self.labels is not None
 
 
-@dataclass(frozen=True)
-class SplitIndices:
-    """Disjoint, exhaustive train/test row partition."""
+class SplitIndices(NamedTuple):
+    """Disjoint, exhaustive train/test row partition, each side an
+    ascending int64 array of row numbers."""
 
-    train: tuple[int, ...]
-    test: tuple[int, ...]
+    train: np.ndarray
+    test: np.ndarray
 
 
 def _header_index(reader, path: Path, schema: FeatureSchema) -> dict[str, int]:
@@ -358,54 +359,45 @@ def write_csv(dataset: Dataset, path: str | Path) -> None:
 
 
 def stratified_split(dataset: Dataset, test_fraction: float, seed: int) -> SplitIndices:
-    """Deterministic per-class split: seeded shuffle within each class, then
-    prefix take. Per-class test counts are floor(fraction * n_c) with the
-    remainder given to the largest classes."""
-    if not dataset.is_labeled:
-        raise DataError("stratified split requires a labeled dataset")
+    """The train/test split of every stage: a seeded shuffle within each
+    class, then a prefix take as the test rows.
+
+    Classes are ``dataset.label_ids``; an unlabeled dataset is one class,
+    named ``'(unlabeled)'`` in errors. Each class needs at least 2 rows. Its
+    test count is floor(fraction * n_c); the rows these counts fall short of
+    round(fraction * n) go one each to the largest classes (ties by name),
+    never emptying a class's train side. One ``default_rng(seed)`` draws one
+    permutation per class, in class-id order.
+    """
     if not 0.0 < test_fraction < 1.0:
         raise ConfigError(f"test_fraction must be in (0, 1), got {test_fraction}")
-
     n = len(dataset)
-    by_class: dict[str, list[int]] = {name: [] for name in dataset.class_names}
-    for i, label in enumerate(dataset.labels):
-        by_class[label].append(i)
-    for name, idx in by_class.items():
-        if len(idx) < 2:
-            raise DataError(f"class {name!r} has only {len(idx)} record(s); need at least 2")
+    if dataset.label_ids is None:
+        names, ids = ["(unlabeled)"], np.zeros(n, dtype=np.int64)
+    else:
+        names, ids = dataset.class_names, dataset.label_ids
+    counts = np.bincount(ids, minlength=len(names)).tolist()
+    for name, c in zip(names, counts):
+        if c < 2:
+            raise DataError(f"class {name!r} has only {c} record(s); need at least 2")
 
-    counts = {name: len(idx) for name, idx in by_class.items()}
-    base = {name: int(math.floor(test_fraction * c)) for name, c in counts.items()}
-    remainder = round(test_fraction * n) - sum(base.values())
-    # Hand the remainder to the largest classes, never emptying a class's
-    # train side.
-    for name in sorted(counts, key=lambda k: (-counts[k], k)):
+    base = [math.floor(test_fraction * c) for c in counts]
+    remainder = round(test_fraction * n) - sum(base)
+    for k in sorted(range(len(counts)), key=lambda k: -counts[k]):
         if remainder <= 0:
             break
-        if base[name] + 1 < counts[name]:
-            base[name] += 1
+        if base[k] + 1 < counts[k]:
+            base[k] += 1
             remainder -= 1
 
     rng = np.random.default_rng(seed)
-    test: list[int] = []
-    train: list[int] = []
-    for name in dataset.class_names:
-        idx = np.array(by_class[name], dtype=np.int64)
-        shuffled = idx[rng.permutation(len(idx))]
-        k = base[name]
-        test.extend(shuffled[:k].tolist())
-        train.extend(shuffled[k:].tolist())
-    return SplitIndices(train=tuple(sorted(train)), test=tuple(sorted(test)))
-
-
-def random_split(n: int, test_fraction: float, seed: int) -> SplitIndices:
-    """Unstratified seeded split, for unlabeled datasets."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ConfigError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    k = round(test_fraction * n)
-    return SplitIndices(train=tuple(sorted(perm[k:].tolist())), test=tuple(sorted(perm[:k].tolist())))
+    by_class = np.split(np.argsort(ids, kind="stable").astype(np.int64), np.cumsum(counts)[:-1])
+    test, train = [], []
+    for rows, k in zip(by_class, base):
+        shuffled = rows[rng.permutation(rows.size)]
+        test.append(shuffled[:k])
+        train.append(shuffled[k:])
+    return SplitIndices(train=np.sort(np.concatenate(train)), test=np.sort(np.concatenate(test)))
 
 
 @dataclass

@@ -203,10 +203,6 @@ class ForestModel:
     n_features: int
     n_classes: int
 
-    @property
-    def n_trees(self) -> int:
-        return len(self.trees)
-
 
 def fit_forest(
     X: np.ndarray,

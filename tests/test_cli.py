@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 import flowcodec
+from flowcodec import preprocess
 from flowcodec.cli import load_config, main
 from flowcodec.errors import ConfigError
-from flowcodec.flow_data import default_class_specs
+from flowcodec.flow_data import default_class_specs, load_csv, stratified_split
 from flowcodec.latent import read_latent
 
 FAST_CONFIG = {
@@ -58,7 +59,6 @@ def test_load_config_defaults():
     cfg = load_config(None)
     assert cfg.seed == 42
     assert cfg.test_fraction == 0.2
-    assert cfg.fit_preprocessor_on == "train"
     assert cfg.hidden == (128, 64)
     assert cfg.latent_dim == 16
     assert cfg.latent_dtype == "float32"
@@ -263,6 +263,28 @@ def test_removed_forest_save_model_key_exits_1(tmp_path, capsys, value):
     assert code == 1
     assert "save_model" in capsys.readouterr().err
     assert [q.name for q in tmp_path.iterdir()] == ["c.json"]
+
+
+@pytest.mark.parametrize("labeled", [True, False])
+def test_train_fits_the_preprocessor_on_the_train_rows_only(tmp_path, labeled):
+    doc = {**FAST_CONFIG, "train": {"max_epochs": 1}}
+    if not labeled:
+        doc["schema"] = {"label_column": None}
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(doc))
+    data, out = tmp_path / "flows.csv", tmp_path / "out"
+    assert main(["synth", "--config", str(config), "--output", str(data)]) == 0
+    assert main(["train", "--config", str(config), "--input", str(data), "--output-dir", str(out)]) == 0
+
+    cfg = load_config(str(config))
+    ds = load_csv(data, cfg.schema)
+    assert ds.is_labeled == labeled
+    split = stratified_split(ds, cfg.test_fraction, cfg.seed)
+    summary = json.loads((out / "train_summary.json").read_text())
+    assert (summary["train_rows"], summary["test_rows"]) == (split.train.size, split.test.size) == (240, 60)
+    written = preprocess.PreprocessorState.load(out / "preprocessor.json").fingerprint()
+    assert written == preprocess.fit(ds.features[split.train], cfg.schema.compressible_columns).fingerprint()
+    assert written != preprocess.fit(ds.features, cfg.schema.compressible_columns).fingerprint()
 
 
 def test_bad_config_exits_1(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -24,7 +25,6 @@ from flowcodec.flow_data import (
     default_class_specs,
     generate_synthetic,
     load_csv,
-    random_split,
     read_features,
     stratified_split,
     write_csv,
@@ -634,9 +634,9 @@ def test_stratified_split_disjoint_exhaustive_deterministic():
     a = stratified_split(ds, 0.25, seed=3)
     b = stratified_split(ds, 0.25, seed=3)
     c = stratified_split(ds, 0.25, seed=4)
-    assert a == b
-    assert (a.train, a.test) != (c.train, c.test)
-    merged = sorted(a.train + a.test)
+    assert np.array_equal(a.train, b.train) and np.array_equal(a.test, b.test)
+    assert not np.array_equal(a.test, c.test)
+    merged = sorted(a.train.tolist() + a.test.tolist())
     assert merged == list(range(len(ds)))
     assert not set(a.train) & set(a.test)
 
@@ -663,19 +663,43 @@ def test_stratified_split_rejects_tiny_class_and_unlabeled():
     ds = Dataset(FeatureSchema(), np.ones((3, N_FEATURES)), blank_identities(FeatureSchema(), 3), ["a", "a", "b"])
     with pytest.raises(DataError, match="'b'"):
         stratified_split(ds, 0.2, seed=0)
+    # An unlabeled dataset is one class, so one row is too few.
     schema = FeatureSchema(label_column=None)
-    unlabeled = Dataset(schema, np.ones((3, N_FEATURES)), blank_identities(schema, 3), None)
-    with pytest.raises(DataError):
+    unlabeled = Dataset(schema, np.ones((1, N_FEATURES)), blank_identities(schema, 1), None)
+    with pytest.raises(DataError, match=re.escape("'(unlabeled)' has only 1 record(s)")):
         stratified_split(unlabeled, 0.2, seed=0)
 
 
-def test_random_split_properties():
-    split = random_split(100, 0.2, seed=8)
-    assert len(split.test) == 20
-    assert sorted(split.train + split.test) == list(range(100))
-    assert random_split(100, 0.2, seed=8) == split
-    with pytest.raises(ConfigError):
-        random_split(10, 1.5, seed=0)
+def test_unlabeled_split_is_one_seeded_permutation():
+    # An unlabeled dataset splits as one class: its test rows are the first
+    # round(f * n) of one permutation drawn from default_rng(seed), except
+    # that the train side keeps one row where that would take them all.
+    schema = FeatureSchema(label_column=None)
+    for n in (2, 3, 5, 10, 37, 100):
+        ds = Dataset(schema, np.ones((n, N_FEATURES)), blank_identities(schema, n), None)
+        for f in (0.05, 0.2, 0.5, 0.75, 0.95):
+            for seed in (0, 8, 123):
+                split = stratified_split(ds, f, seed)
+                assert split.train.dtype == split.test.dtype == np.int64
+                assert np.array_equal(np.sort(np.concatenate(split)), np.arange(n))
+                assert (np.diff(split.train) > 0).all() and (np.diff(split.test) > 0).all()
+                assert split.train.size >= 1
+                perm = np.random.default_rng(seed).permutation(n)
+                k = round(f * n)
+                if k < n:
+                    assert split.test.tolist() == sorted(perm[:k].tolist())
+                else:
+                    assert split.test.size == n - 1
+                again = stratified_split(ds, f, seed)
+                assert np.array_equal(again.train, split.train)
+                assert np.array_equal(again.test, split.test)
+
+    ten = Dataset(schema, np.ones((10, N_FEATURES)), blank_identities(schema, 10), None)
+    split = stratified_split(ten, 0.95, seed=0)
+    assert (split.train.size, split.test.size) == (1, 9)
+    for f in (0.0, 1.0, 1.5, -0.1):
+        with pytest.raises(ConfigError):
+            stratified_split(ten, f, seed=0)
 
 
 # ---------------------------------------------------------------- synthetic
