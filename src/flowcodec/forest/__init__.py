@@ -1,9 +1,8 @@
 """From-scratch random forest: bagged CART trees with Gini splits.
 
-Everything is numpy. `fit_tree` sorts each feature column once per tree
-and partitions those orders stably at every split, so a node's columns are
-always sorted; `splitter.scan_sorted` then scores all of a node's candidate
-columns in one pass. Equal scores keep the lowest feature index, then the
+Everything is numpy. At each node `fit_tree` sorts only the node's
+candidate columns, over the node's rows, and `splitter.scan_sorted` scores
+all of them in one pass. Equal scores keep the lowest feature index, then the
 earliest boundary.
 """
 

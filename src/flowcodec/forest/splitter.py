@@ -1,8 +1,7 @@
 """The forest's split scan: one numpy pass over a node's candidate columns.
 
-`fit_tree` sorts each feature column once per tree and keeps every node's
-rows in that order by stable partition, so a node hands this module its
-candidate columns already sorted, as one `[k, m]` block, and the scan
+`fit_tree` sorts each of a node's k candidate columns over the node's m
+rows and hands them to this module as one `[k, m]` block, so the scan
 scores every boundary of every candidate in one pass.
 
 Scores are sums of squared integer class counts divided by float64
@@ -21,7 +20,7 @@ import numpy as np
 
 def backend_name() -> str:
     """Name of the split kernel; recorded with benchmark results."""
-    return "presort"
+    return "node-sort"
 
 
 def scan_sorted(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from flowcodec.errors import DataError
+from flowcodec.flow_data import default_class_specs, generate_synthetic
 from flowcodec.forest import (
     DecisionTree,
     ForestModel,
@@ -77,7 +78,7 @@ def random_block(rng):
 
 
 def test_scan_matches_brute_force_exactly():
-    assert backend_name() == "presort"
+    assert backend_name() == "node-sort"
     rng = np.random.default_rng(100)
     for _ in range(300):
         values, labels, k = random_block(rng)
@@ -269,9 +270,10 @@ def test_fit_tree_validation():
 
 # ---------------------------------------------------------------- reference loop
 #
-# The tree builder as it was before the presort: every node argsorts each
-# candidate column of its rows (stable) and scans it alone, with class counts
-# from a one-hot cumulative sum. The RNG is shared with the library.
+# The tree builder written plainly: every node argsorts each candidate column
+# of its rows (stable), scans it alone with class counts from a one-hot
+# cumulative sum, and splits its rows by comparing against the threshold.
+# The RNG is shared with the library.
 
 
 def _ref_scan(values, labels, n_classes):
@@ -361,8 +363,8 @@ def _reference_problems():
     signed_zeros = np.where(rng.random((40, 3)) < 0.5, 0.0, -0.0)
     signed_zeros[::7, 1] = 1.0
     yield signed_zeros, rng.integers(0, 2, size=40), 2
-    # Long runs of equal values, so that the presort's order within a run
-    # differs from row order.
+    # Long runs of equal values, so that the order the library's unstable
+    # per-node sort leaves within a run differs from row order.
     runs = rng.integers(-1, 2, size=(400, 5)) * np.where(rng.random((400, 5)) < 0.5, 1.0, -1.0)
     yield runs, rng.integers(0, 3, size=400), 3
     dup = rng.normal(size=(60, 2))
@@ -375,6 +377,12 @@ def _reference_problems():
         ties = rng.random(n_features) < 0.5  # heavy ties in about half the columns
         X[:, ties] = rng.integers(0, 3, size=(n, int(ties.sum())))
         yield X, rng.integers(0, n_classes, size=n), n_classes
+    # A bootstrap of a hard synthetic mix at a realistic size: deeper trees
+    # with many small nodes, and ties from the bootstrap's repeated rows and
+    # the integer-valued packet columns.
+    ds = generate_synthetic(200, default_class_specs(0.9), seed=5)
+    boot = rng.integers(0, len(ds), size=len(ds))
+    yield ds.features[boot], ds.label_ids[boot], len(ds.class_names)
 
 
 @pytest.mark.parametrize(
@@ -397,6 +405,20 @@ def test_fit_tree_matches_reference_loop_bit_for_bit(params):
             for name in ("feature", "threshold", "left", "right", "class_counts"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), (i, seed, name)
                 assert getattr(got, name).dtype == getattr(want, name).dtype
+
+
+def test_fit_tree_does_not_depend_on_row_order():
+    # Each node sorts its candidate columns with an unstable sort, so equal
+    # values can come out in any order; the tree must not see that order.
+    rng = np.random.default_rng(23)
+    for i, (X, y, n_classes) in enumerate(_reference_problems()):
+        for seed in (0, 1, 2):
+            want = fit_tree(X, y, n_classes, seed=seed)
+            for _ in range(3):
+                p = rng.permutation(len(y))
+                got = fit_tree(X[p], y[p], n_classes, seed=seed)
+                for name in ("feature", "threshold", "left", "right", "class_counts"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), (i, seed, name)
 
 
 # ---------------------------------------------------------------- forest
