@@ -191,7 +191,8 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config, args.seed)
-    ds = load_csv(args.input, cfg.schema)
+    # No identity cell is read here, so none is parsed or required.
+    ds = load_csv(args.input, replace(cfg.schema, identity_columns=()))
     train_rows, test_rows = stratified_split(ds, cfg.test_fraction, cfg.seed)
 
     state = preprocess.fit(ds.features[train_rows], cfg.schema.compressible_columns)
@@ -327,7 +328,7 @@ def _classify_arms(args, cfg: PipelineConfig, arms: tuple[str, ...], task: str):
     held-out rows. An arm is the feature set the forest sees: "original"
     or "compressed" (the model's latents). Writes each arm's reports and
     returns the output directory and the reports in arm order."""
-    ds = load_csv(args.input, cfg.schema)
+    ds = load_csv(args.input, replace(cfg.schema, identity_columns=()))  # as in cmd_train
     if not ds.is_labeled:
         raise DataError(f"{task} requires a labeled dataset")
     if len(ds.class_names) < 2:

@@ -32,9 +32,10 @@ from .errors import DataError
 
 _FLOAT32_TINY = float(np.finfo(np.float32).tiny)
 # Rows per block of an uncached `forward`. At the default 21 -> 128 -> 64
-# -> 16 encoder a float64 block's activations peak near 10 MB. 2048-row
+# -> 16 encoder a float64 block's activations peak near 6 MB. 2048-row
 # blocks made a 5k-row decompress 6-10% slower.
 _BLOCK_ROWS = 4096
+_SCRATCH_ROWS = 512  # rows per chunk of an in-place LeakyReLU (`leaky_relu`)
 
 
 @dataclass
@@ -161,19 +162,27 @@ class TrainConfig:
             )
 
 
-def leaky_relu(x: np.ndarray, slope: float) -> np.ndarray:
-    """Elementwise max(x*slope, x), in one new array.
+def leaky_relu(x: np.ndarray, slope: float, scratch: np.ndarray | None = None) -> np.ndarray:
+    """Elementwise max(x*slope, x), in one new array; or, given a flat
+    ``scratch`` of x's dtype, in place in the 2-D ``x``, which is returned.
 
-    The product is made first and the maximum is taken into it in place, so
-    a call allocates one array the size of ``x`` rather than two. ``x`` must
-    have at least one dimension: numpy returns a scalar, not an array, for
-    the product of a 0-d array.
+    A new array is made as the product, and the maximum is taken into it.
+    In place, each chunk of rows that fits in ``scratch`` has its product
+    made there and its maximum written back. Either way the operands meet
+    as max(x*slope, x), so NaN and -0.0 come out alike. ``x`` must have at
+    least one dimension: numpy returns a scalar, not an array, for the
+    product of a 0-d array.
     """
     if not 0.0 < slope < 1.0:
         raise DataError(f"slope must be in (0, 1), got {slope}")
-    a = x * slope
-    np.maximum(a, x, out=a)
-    return a
+    if scratch is None:
+        a = x * slope
+        return np.maximum(a, x, out=a)
+    step = scratch.size // x.shape[1]
+    for lo in range(0, len(x), step):
+        part = x[lo : lo + step]
+        np.maximum(np.multiply(part, slope, out=scratch[: part.size].reshape(part.shape)), part, out=part)
+    return x
 
 
 def leaky_relu_grad(pre_activation: np.ndarray, slope: float) -> np.ndarray:
@@ -245,15 +254,15 @@ def forward(
 
     Returns the batch output, or (output, cache) when with_cache is set.
 
-    Without a cache, an input of ``2 * _BLOCK_ROWS`` rows or more runs in
-    blocks of ``_BLOCK_ROWS`` rows, the last block taking the remainder,
-    and each block's output is written into one array allocated up front.
-    So the activations of at most one block (under ``2 * _BLOCK_ROWS``
-    rows) are alive at a time, not those of every row. A row's output is
-    bit-identical either way: each of its values is a dot product over that
-    row alone, and no block is short enough for BLAS to take its small-row
-    path, which can round differently (75 rows or fewer, on one OpenBLAS
-    build).
+    Without a cache, each LeakyReLU runs in place, and an input of
+    ``2 * _BLOCK_ROWS`` rows or more runs in blocks of ``_BLOCK_ROWS`` rows,
+    the last block taking the remainder, each written into one output array.
+    So two activations of one block (under ``2 * _BLOCK_ROWS`` rows), a
+    layer's input and output, and a ``_SCRATCH_ROWS``-row scratch are alive
+    at a time, not those of every row. A row's output is bit-identical
+    either way: each of its values is a dot product over that row alone, and
+    no block is short enough for BLAS to take its small-row path, which can
+    round differently (75 rows or fewer, on one OpenBLAS build).
     """
     if len(activations) != len(layers):
         raise DataError("activation plan length must match layer count")
@@ -286,7 +295,13 @@ def forward(
 def _forward_rows(layers, activations, a, slope, inputs=None, preacts=None):
     """The layer stack over every row of ``a`` in one pass, appending each
     layer's input and pre-activation to ``inputs`` and ``preacts`` when they
-    are given."""
+    are given. Without ``preacts`` each LeakyReLU overwrites its layer's
+    product (never ``a``), through one scratch of ``_SCRATCH_ROWS`` rows of
+    the widest activated layer."""
+    scratch = None
+    if preacts is None:
+        width = max((l.fan_out for l, act in zip(layers, activations) if act), default=0)
+        scratch = np.empty(_SCRATCH_ROWS * width, np.result_type(a, *(l.W for l in layers)))
     for layer, act in zip(layers, activations):
         if inputs is not None:
             inputs.append(a)
@@ -294,7 +309,7 @@ def _forward_rows(layers, activations, a, slope, inputs=None, preacts=None):
         z += layer.b
         if preacts is not None:
             preacts.append(z)
-        a = leaky_relu(z, slope) if act else z
+        a = leaky_relu(z, slope, scratch) if act else z
     return a
 
 
@@ -329,7 +344,7 @@ def backward(
             dz = da
         dW, db = out[i]
         np.matmul(dz.T, cache.inputs[i], out=dW)
-        np.sum(dz, axis=0, out=db)
+        np.add.reduce(dz, axis=0, out=db)
         if i > 0:
             da = dz @ layers[i].W
     return out
@@ -346,7 +361,7 @@ def global_grad_norm(state: TrainState) -> float:
     np.square(state.grad, out=state._squares, dtype=np.float64)
     total = 0.0
     for sq_W, sq_b in state._square_pairs:
-        total += float(np.sum(sq_W)) + float(np.sum(sq_b))
+        total += float(np.add.reduce(sq_W, axis=None)) + float(np.add.reduce(sq_b))
     return float(np.sqrt(total))
 
 

@@ -15,7 +15,7 @@ from flowcodec.autoencoder import (
     train,
 )
 from flowcodec.errors import DataError, DivergenceError, ModelFormatError
-from flowcodec.neural import _BLOCK_ROWS, TrainConfig, huber_loss, huber_loss_grad, init_layers
+from flowcodec.neural import _BLOCK_ROWS, _SCRATCH_ROWS, TrainConfig, huber_loss, huber_loss_grad, init_layers
 
 
 def tiny_config(**kw):
@@ -343,16 +343,19 @@ def test_encode_decode_match_the_reference_forward():
 
 
 def test_encode_decode_peak_memory_is_bounded_by_the_block():
-    # A block has fewer than 2 * _BLOCK_ROWS rows, and at most three
-    # activation arrays (a layer's input, its pre-activation and its output)
-    # are alive at once, none wider than the widest layer. The row count
-    # does not enter the bound: one call over these rows peaks near 63 MB.
+    # The last block has 2 * _BLOCK_ROWS - 1 rows, the most a block holds.
+    # Each LeakyReLU runs in place, so at most two activation arrays (a
+    # layer's input and its output), none wider than the widest layer, and
+    # one scratch of _SCRATCH_ROWS such rows are alive at once: a third
+    # activation array of the last block breaks the bound. The row count
+    # does not enter it: unblocked, one call over these rows would peak near
+    # 63 MB.
     xtr, xte = tiny_data(seed=17)
     model, _ = train(xtr, xte, tiny_config(max_epochs=2))
     assert model.dims == architecture_dims(21)
-    x = np.random.default_rng(17).standard_normal((6 * _BLOCK_ROWS + 65, 21))
+    x = np.random.default_rng(17).standard_normal((6 * _BLOCK_ROWS - 1, 21))
     z = encode(model, x)
-    bound = 2 * _BLOCK_ROWS * 3 * max(model.dims) * 8
+    bound = (2 * (2 * _BLOCK_ROWS - 1) + _SCRATCH_ROWS) * max(model.dims) * 8
     for fn, inputs in ((encode, x), (decode, z)):
         tracemalloc.start()
         try:

@@ -543,6 +543,42 @@ def test_evaluate_from_model_matches_reconstructed_csv(tmp_path, fast_config):
     assert a["global"]["mse"] == pytest.approx(b["global"]["mse"], rel=0.05)
 
 
+def test_train_and_compare_take_a_csv_without_identity_columns(tmp_path, fast_config, capsys):
+    # train and compare read only the features and the label: a CSV without
+    # the identity columns gives them the same model, summary and reports.
+    # compress stores identity cells, so it refuses that CSV.
+    data, bare = tmp_path / "flows.csv", tmp_path / "bare.csv"
+    assert main(["synth", "--config", fast_config, "--output", str(data)]) == 0
+    identity = list(load_config(fast_config).schema.identity_columns)
+    with open(data, newline="") as fh:
+        rows = list(csv.reader(fh))
+    keep = [j for j, name in enumerate(rows[0]) if name not in identity]
+    assert len(rows[0]) - len(keep) == len(identity) == 7
+    with open(bare, "w", newline="") as fh:
+        csv.writer(fh).writerows([row[j] for j in keep] for row in rows)
+
+    outputs = {}
+    for name, path in (("full", data), ("bare", bare)):
+        out = tmp_path / name
+        assert main(["train", "--config", fast_config, "--input", str(path), "--output-dir", str(out)]) == 0
+        model = ["--model", str(out / "autoencoder.fcae"), "--preprocessor", str(out / "preprocessor.json")]
+        assert main(["compare", "--config", fast_config, "--input", str(path), *model,
+                     "--output-dir", str(out / "cmp")]) == 0
+        outputs[name] = {
+            f.relative_to(out).as_posix(): f.read_bytes()
+            for f in [out / "autoencoder.fcae", out / "train_summary.json", *(out / "cmp").iterdir()]
+        }
+    assert len(outputs["full"]) == 2 + 2 * 4 + 2  # train, each arm and the comparison
+    assert outputs["bare"] == outputs["full"]
+
+    capsys.readouterr()
+    code = main(["compress", "--config", fast_config, *model, "--input", str(bare),
+                 "--output", str(tmp_path / "bare.fclz")])
+    assert code == 2
+    assert f"missing column(s) {identity}" in capsys.readouterr().err
+    assert not (tmp_path / "bare.fclz").exists()
+
+
 def test_fingerprint_mismatch_and_force(tmp_path, fast_config, capsys):
     data = tmp_path / "flows.csv"
     main(["synth", "--config", fast_config, "--output", str(data)])

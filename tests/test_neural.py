@@ -5,6 +5,7 @@ import pytest
 
 from flowcodec.errors import DataError
 from flowcodec.neural import (
+    _SCRATCH_ROWS,
     DenseLayer,
     TrainConfig,
     TrainState,
@@ -32,6 +33,21 @@ def test_leaky_relu_values():
     assert np.allclose(out, [-0.2, -0.1, 0.0, 0.5, 2.0])
     with pytest.raises(DataError):
         leaky_relu(x, 1.5)
+
+
+def test_leaky_relu_in_place_matches_the_new_array_bit_for_bit():
+    # Given a scratch, x is overwritten in chunks of the rows that fit in
+    # it; signed zeros, NaNs, infinities and subnormals come out as the
+    # new-array form gives them.
+    edges = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0])
+    x = np.tile(edges, (7, 1))
+    want = leaky_relu(x, SLOPE)
+    scratch = np.empty(3 * edges.size + 2)  # chunks of 3, 3 and 1 rows
+    got = leaky_relu(x, SLOPE, scratch)
+    assert got is x
+    assert got.tobytes() == want.tobytes()
+    with pytest.raises(DataError):
+        leaky_relu(x, 1.5, scratch)
 
 
 def test_leaky_relu_grad_values():
@@ -130,6 +146,24 @@ def test_forward_shapes_and_validation():
         forward(layers, [True, False], np.ones((5, 3)), SLOPE)
     with pytest.raises(DataError, match="slope"):
         forward(layers, [True, False], x, 1.5)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("rows", [1, _SCRATCH_ROWS - 1, _SCRATCH_ROWS, _SCRATCH_ROWS + 1, 3 * _SCRATCH_ROWS + 7])
+def test_uncached_forward_matches_the_cached_one_bit_for_bit(dtype, rows):
+    # Uncached, each LeakyReLU overwrites its layer's product in place in
+    # chunks of _SCRATCH_ROWS rows; cached, it makes a new array and keeps
+    # the pre-activation. The outputs agree bit for bit below, at and above
+    # the scratch height, and neither form writes to its input.
+    dims, plan = [21, 128, 64, 16, 64, 128, 21], [True] * 5 + [False]
+    layers = [DenseLayer(W=l.W.astype(dtype), b=l.b.astype(dtype)) for l in init_layers(dims, SLOPE, seed=rows)]
+    x = np.random.default_rng(rows).standard_normal((rows, dims[0])).astype(dtype)
+    before = x.copy()
+    cached, _ = forward(layers, plan, x, SLOPE, with_cache=True)
+    uncached = forward(layers, plan, x, SLOPE)
+    assert uncached.dtype == cached.dtype == dtype
+    assert uncached.tobytes() == cached.tobytes()
+    assert x.tobytes() == before.tobytes()
 
 
 def test_backward_rejects_stale_cache():
