@@ -9,10 +9,22 @@ makes those exact characters for a whole block with numpy:
   Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020):
   three round-to-odd products against a 126-bit power of ten, here done in
   30-bit limbs since numpy has no 64x64-bit product.
-- A cell becomes an integer part of at most 16 digits and a fraction of at
-  most 19, which a table of 4-digit groups spells into one fixed-width slot
+- `_positional` makes that decimal an integer part of at most 16 digits and
+  a fraction of at most 19 digits, with no division on its common path. The
+  integer part is floor(|v|), which is exact: below 2**53 the two integers
+  around a non-integral v are float64s, so its decimal lies between the same
+  two, and from 2**53 up to 1e16 the decimal is v itself, since the floats
+  there are 2 apart and v has at most 16 digits. The fraction digits follow
+  by multiplies. Only a decimal with 20 or 21 fraction digits takes a
+  division, masked to those cells, to check and drop its trailing zeros.
+- A table of 4-digit groups spells the two parts into one fixed-width slot
   of bytes per cell, beside its separator, ``-`` and ``.``. Dropping the
-  zero bytes that pad each slot leaves the block's text.
+  zero bytes that pad each slot leaves the block's text. The word indices
+  are int32, and each quotient and remainder by a constant is one
+  floor-divide by a scalar plus a multiply-subtract. numpy runs a
+  floor-divide by a scalar as a multiply and shift, but ``%``,
+  ``np.divmod`` and a divide by an array as a division per element, and
+  int32 arithmetic moves half the bytes of intp.
 
 A cell whose repr is in scientific notation (decimal exponent below -4 or
 from 16 up, which takes in every subnormal) or has more than 19 fraction
@@ -21,7 +33,10 @@ digits goes to `_repr_cells`, one repr at a time, and into its slot.
 Significand arithmetic is np.uint64 throughout, constants included: numpy
 1.x turns uint64 mixed with int64 into float64, which would drop digits
 without an error. Exponents are int64 and meet a significand only as an
-index or through an explicit cast.
+index or through an explicit cast. The word indices stay int32 when they
+meet a Python int, by numpy 1.x's value-based casting as by numpy 2's
+rules. Their named constants are np.int32 scalars: numpy 1.x widens a
+numpy scalar with a Python int, and no array, to int64.
 """
 
 from __future__ import annotations
@@ -131,20 +146,24 @@ def shortest_decimal(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return d, k + shorter
 
 
-def _positional(d: np.ndarray, e: np.ndarray):
-    """The decimal d * 10**e as an integer part and 19 fraction digits (the
-    fraction times 10**19), and whether repr writes it that way: 1e-4 <= it
-    < 1e16 (repr's positional range) and no more than 19 fraction digits."""
+def _positional(x: np.ndarray, d: np.ndarray, e: np.ndarray):
+    """The decimal d * 10**e, the shortest of each float64 x in
+    `_KERNEL_RANGE`, as an integer part and 19 fraction digits (the fraction
+    times 10**19), and whether repr writes it that way: 1e-4 <= it < 1e16
+    (repr's positional range) and no more than 19 fraction digits. The
+    integer part is floor(x); the module docstring says why that is exact."""
     t = -e  # digits after the point, trailing zeros included
+    whole = np.floor(x).astype(np.uint64)
     a = np.clip(t, 0, 19)
-    b = np.clip(t - 19, 0, 2)  # t of 20 or 21 leaves zeros to drop
-    dd = d // _P10[b]
-    whole = dd // _P10[a] * _P10[np.clip(-t, 0, 1)]
-    frac = dd % _P10[a] * _P10[19 - a]
-    fits = (
-        (t >= -1) & (t <= 21) & (dd * _P10[b] == d)
-        & (whole < _P10[16]) & ((whole > _U(0)) | (frac >= _P10[15]))
-    )
+    frac = (d * _P10[np.clip(-t, 0, 19)] - whole * _P10[a]) * _P10[19 - a]
+    # A t of 20 or 21 has digits past the 19th, which must all be zeros.
+    long = t > 19
+    fits = t <= 21
+    if long.any():
+        digits, unit = d[long], _P10[np.clip(t[long] - 19, 0, 2)]
+        frac[long] = digits // unit
+        fits[long] &= frac[long] * unit == digits
+    fits &= (whole < _P10[16]) & ((whole > _U(0)) | (frac >= _P10[15]))
     return whole, frac, fits
 
 
@@ -180,9 +199,16 @@ _WORDS = _word_table()
 # Styles: every digit; no leading zeros; no trailing zeros; "." and three
 # digits; "." and three digits without trailing zeros, but ".0" for 0.
 # Then a separator (",", ",-", "\n", "\n-" at 0 to 3) and the integer 0.
-_FULL, _NO_LEAD, _NO_TRAIL, _POINT, _POINT_NO_TRAIL, _SEPARATOR = 0, 10_000, 20_000, 30_000, 31_000, 32_000
-_ZERO = _SEPARATOR + 4
+_FULL, _NO_LEAD, _NO_TRAIL, _POINT, _POINT_NO_TRAIL, _SEPARATOR, _ZERO = np.array(
+    [0, 10_000, 20_000, 30_000, 31_000, 32_000, 32_004], dtype=np.int32
+)
 _BLANK = _NO_LEAD  # the word of 0 in that style has no characters
+
+
+def _split(v: np.ndarray, unit):
+    """v // unit and v % unit from one floor-divide by the scalar unit."""
+    q = v // unit
+    return q, v - q * unit
 
 
 def format_rows(block: np.ndarray, as_repr: bool = False) -> list[str]:
@@ -202,7 +228,8 @@ def format_rows(block: np.ndarray, as_repr: bool = False) -> list[str]:
     frac = np.zeros(n, dtype=np.uint64)
     whole[integral] = ax[integral].astype(np.uint64)
     work = ~integral & (ax >= _KERNEL_RANGE[0]) & (ax < _KERNEL_RANGE[1])
-    w_whole, w_frac, fits = _positional(*shortest_decimal(ax[work]))
+    aw = ax[work]
+    w_whole, w_frac, fits = _positional(aw, *shortest_decimal(aw))
     whole[work] = np.where(fits, w_whole, _U(0))
     frac[work] = np.where(fits, w_frac, _U(0))
     by_repr = ~integral
@@ -211,26 +238,33 @@ def format_rows(block: np.ndarray, as_repr: bool = False) -> list[str]:
     pointed = ~by_repr if as_repr else ~integral & ~by_repr
     negative = np.signbit(x) if as_repr else x < 0
 
-    idx = np.empty((n, 10), dtype=np.intp)
+    # Row k holds word k of every cell, so each row below is written whole;
+    # take's cast of the indices to intp transposes them as it copies.
+    idx = np.empty((10, n), dtype=np.int32)
     separator = np.full((rows, cols), _SEPARATOR)
     separator[:, 0] += 2  # a row starts after "\n"
-    idx[:, 0] = separator.ravel() + (negative & ~by_repr)
-    hi, lo = (part.astype(np.intp) for part in np.divmod(whole, _U(10**8)))
-    idx[:, 1] = _NO_LEAD + hi // 10_000
-    idx[:, 2] = np.where(whole < _U(10**12), _NO_LEAD, _FULL) + hi % 10_000
-    idx[:, 3] = np.where(whole < _U(10**8), _NO_LEAD, _FULL) + lo // 10_000
-    last = np.where(whole == _U(0), _ZERO, _NO_LEAD + lo)
-    idx[:, 4] = np.where(whole < _U(10**4), last, _FULL + lo % 10_000)
+    idx[0] = separator.ravel() + (negative & ~by_repr)
+    # whole < 10**16 and frac < 10**19: split into 8-digit int32 parts.
+    hi, lo = (part.astype(np.int32) for part in _split(whole, _U(10**8)))
+    hi_top, hi_low = _split(hi, 10_000)
+    lo_top, lo_low = _split(lo, 10_000)
+    idx[1] = _NO_LEAD + hi_top
+    idx[2] = np.where(hi_top == 0, _NO_LEAD, _FULL) + hi_low
+    idx[3] = np.where(hi == 0, _NO_LEAD, _FULL) + lo_top
+    last = np.where(lo == 0, _ZERO, _NO_LEAD + lo)
+    idx[4] = np.where((hi == 0) & (lo_top == 0), last, _FULL + lo_low)
     # A fraction group with only zeros after it drops its trailing zeros.
-    top, rest = np.divmod(frac, _U(10**16))
-    hi, lo = (part.astype(np.intp) for part in np.divmod(rest, _U(10**8)))
-    point = np.where(rest == _U(0), _POINT_NO_TRAIL, _POINT) + top.astype(np.intp)
-    idx[:, 5] = np.where(pointed, point, _BLANK)
-    idx[:, 6] = np.where(hi % 10_000 + lo == 0, _NO_TRAIL, _FULL) + hi // 10_000
-    idx[:, 7] = np.where(lo == 0, _NO_TRAIL, _FULL) + hi % 10_000
-    idx[:, 8] = np.where(lo % 10_000 == 0, _NO_TRAIL, _FULL) + lo // 10_000
-    idx[:, 9] = _NO_TRAIL + lo % 10_000
-    slots = _WORDS.take(idx).view(np.uint8)
+    top, rest = _split(frac, _U(10**16))
+    hi, lo = (part.astype(np.int32) for part in _split(rest, _U(10**8)))
+    hi_top, hi_low = _split(hi, 10_000)
+    lo_top, lo_low = _split(lo, 10_000)
+    point = np.where((hi == 0) & (lo == 0), _POINT_NO_TRAIL, _POINT) + top.astype(np.int32)
+    idx[5] = np.where(pointed, point, _BLANK)
+    idx[6] = np.where(hi_low + lo == 0, _NO_TRAIL, _FULL) + hi_top
+    idx[7] = np.where(lo == 0, _NO_TRAIL, _FULL) + hi_low
+    idx[8] = np.where(lo_low == 0, _NO_TRAIL, _FULL) + lo_top
+    idx[9] = _NO_TRAIL + lo_low
+    slots = _WORDS.take(idx.T).view(np.uint8)
     if by_repr.any():
         # After the separator word; repr brings its own "-".
         slots[by_repr, 4:] = np.array(_repr_cells(x[by_repr]), dtype="S36").view(np.uint8).reshape(-1, 36)

@@ -279,10 +279,13 @@ def cmd_decompress(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config, args.seed)
-    original = read_features(args.original, cfg.schema)
+    # Only the features are read; the label column stays, so a row that
+    # stops before its label cell is still refused.
+    schema = replace(cfg.schema, identity_columns=())
+    original = read_features(args.original, schema)
 
     if args.reconstructed is not None:
-        recon = read_features(args.reconstructed, cfg.schema)
+        recon = read_features(args.reconstructed, schema)
         if len(recon) != len(original):
             raise DataError(
                 f"row count mismatch: original {len(original)}, reconstructed {len(recon)}"

@@ -12,7 +12,7 @@ import flowcodec
 from flowcodec import preprocess
 from flowcodec.cli import load_config, main
 from flowcodec.errors import ConfigError
-from flowcodec.flow_data import default_class_specs, load_csv, stratified_split
+from flowcodec.flow_data import DEFAULT_IDENTITY_COLUMNS, default_class_specs, load_csv, stratified_split
 from flowcodec.latent import read_latent
 
 FAST_CONFIG = {
@@ -543,6 +543,15 @@ def test_evaluate_from_model_matches_reconstructed_csv(tmp_path, fast_config):
     assert a["global"]["mse"] == pytest.approx(b["global"]["mse"], rel=0.05)
 
 
+def _copy_without_identity_columns(src, dst, identity):
+    with open(src, newline="") as fh:
+        rows = list(csv.reader(fh))
+    keep = [j for j, name in enumerate(rows[0]) if name not in identity]
+    assert len(rows[0]) - len(keep) == len(identity) == 7
+    with open(dst, "w", newline="") as fh:
+        csv.writer(fh).writerows([row[j] for j in keep] for row in rows)
+
+
 def test_train_and_compare_take_a_csv_without_identity_columns(tmp_path, fast_config, capsys):
     # train and compare read only the features and the label: a CSV without
     # the identity columns gives them the same model, summary and reports.
@@ -550,12 +559,7 @@ def test_train_and_compare_take_a_csv_without_identity_columns(tmp_path, fast_co
     data, bare = tmp_path / "flows.csv", tmp_path / "bare.csv"
     assert main(["synth", "--config", fast_config, "--output", str(data)]) == 0
     identity = list(load_config(fast_config).schema.identity_columns)
-    with open(data, newline="") as fh:
-        rows = list(csv.reader(fh))
-    keep = [j for j, name in enumerate(rows[0]) if name not in identity]
-    assert len(rows[0]) - len(keep) == len(identity) == 7
-    with open(bare, "w", newline="") as fh:
-        csv.writer(fh).writerows([row[j] for j in keep] for row in rows)
+    _copy_without_identity_columns(data, bare, identity)
 
     outputs = {}
     for name, path in (("full", data), ("bare", bare)):
@@ -577,6 +581,26 @@ def test_train_and_compare_take_a_csv_without_identity_columns(tmp_path, fast_co
     assert code == 2
     assert f"missing column(s) {identity}" in capsys.readouterr().err
     assert not (tmp_path / "bare.fclz").exists()
+
+
+def test_evaluate_takes_csvs_without_identity_columns(tmp_path):
+    # evaluate reads only the features (and checks that the label cell is
+    # there): identity-free copies of both CSVs give the same report bytes.
+    identity = list(DEFAULT_IDENTITY_COLUMNS)
+    paths = {}
+    for name, seed in (("original", "0"), ("recon", "1")):
+        full, bare = tmp_path / f"{name}.csv", tmp_path / f"{name}_bare.csv"
+        assert main(["synth", "--n-per-class", "20", "--seed", seed, "--output", str(full)]) == 0
+        _copy_without_identity_columns(full, bare, identity)
+        paths[name] = (full, bare)
+    outputs = []
+    for k in range(2):
+        out = tmp_path / f"eval{k}"
+        assert main(["evaluate", "--original", str(paths["original"][k]),
+                     "--reconstructed", str(paths["recon"][k]), "--output-dir", str(out)]) == 0
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert len(outputs[0]) == 4
+    assert outputs[1] == outputs[0]
 
 
 def test_fingerprint_mismatch_and_force(tmp_path, fast_config, capsys):

@@ -563,6 +563,45 @@ def test_shortest_decimal_is_the_decimal_repr_prints():
         assert Decimal(digits).scaleb(exponent) == Decimal(repr(v)), repr(v)
 
 
+def test_positional_is_the_layout_repr_writes():
+    # _positional takes the integer part as floor(x), not from the decimal,
+    # and divides only where the decimal has 20 or 21 fraction digits. The
+    # reference is repr: whether it is positional with at most 19 fraction
+    # digits, and if so its value as integer part plus fraction.
+    rng = np.random.default_rng(18)
+    integers = np.concatenate([
+        np.arange(1.0, 1001.0), rng.integers(1, 2**52, 5_000).astype(np.float64),
+        10.0 ** np.arange(16), 2.0 ** np.arange(53),
+    ])
+    x = np.concatenate([
+        # One ulp below and above an integer: below it, the floor is not
+        # the nearest integer.
+        np.nextafter(integers, 0), np.nextafter(integers, np.inf),
+        2.0**53 + 2.0 * np.arange(-300, 300), 1e16 - 2.0 * np.arange(300),  # integral
+        rng.integers((1023 - 20) << 52, (1023 + 54) << 52, 20_000, dtype=np.uint64).view(np.float64),
+        rng.uniform(1e-6, 1e-3, 10_000),  # 20 and 21 fraction digits
+    ])
+    d, e = _float_text.shortest_decimal(x)
+    # The same decimals with one and two trailing zeros more, so that cells
+    # with 20 and 21 fraction digits come with and without trailing zeros.
+    x = np.concatenate([x, x, x])
+    d = np.concatenate([d, d * np.uint64(10), d * np.uint64(100)])
+    e = np.concatenate([e, e - 1, e - 2])
+    whole, frac, fits = _float_text._positional(x, d, e)
+
+    t = -e
+    assert set(range(-1, 22)) <= set(t.tolist())
+    for digits in (20, 21):
+        zeros = d[t == digits] % np.uint64(10) == 0
+        assert zeros.any() and not zeros.all()
+    assert (np.floor(x) != np.rint(x)).sum() > 5_000
+    for v, w, f, ok in zip(x.tolist(), whole.tolist(), frac.tolist(), fits.tolist()):
+        text = repr(v)
+        assert ok == ("e" not in text and len(text.partition(".")[2]) <= 19), text
+        if ok:
+            assert Decimal(w) + Decimal(f).scaleb(-19) == Decimal(text), text
+
+
 def test_round_to_odd_is_exact_over_the_kernel_range():
     # shortest_decimal's round-to-odd products are exact when, for every
     # multiplier cx, X = cx * 2**q * 10**e is an integer or has a fraction
