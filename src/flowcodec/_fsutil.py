@@ -208,18 +208,10 @@ def _convert(value, kind, path: str):
 
 
 def field(doc: dict, key: str, kind, where):
-    """``doc[key]`` if it `conforms` to ``kind``. For ``np.float64`` it must
-    be a flat list of numbers, returned as a float64 array."""
+    """``doc[key]`` if it `conforms` to ``kind``."""
     if key not in doc:
         raise ModelFormatError(f"{where}: missing field {key!r}")
     value = doc[key]
-    if kind is np.float64:
-        try:
-            arr = np.asarray(value)
-        except ValueError:  # ragged nesting; the 0-d stand-in fails the ndim test
-            arr = np.asarray(None)
-        if arr.ndim == 1 and (arr.size == 0 or arr.dtype.kind in "iuf"):
-            return arr.astype(np.float64)
-    elif conforms(value, kind):
-        return value
-    raise ModelFormatError(f"{where}: field {key!r} has the wrong type: {value!r:.60}")
+    if not conforms(value, kind):
+        raise ModelFormatError(f"{where}: field {key!r} has the wrong type: {value!r:.60}")
+    return value

@@ -37,7 +37,7 @@ from .flow_data import (
     write_csv,
 )
 from .forest import DEFAULT_N_TREES, TreeParams, fit_forest, predict
-from .latent import DEFAULT_LATENT_DTYPE, LATENT_DTYPES, read_latent, write_latent
+from .latent import DEFAULT_LATENT_DTYPE, LATENT_DTYPES, read_latent, stored_latents, write_latent
 from .neural import TrainConfig
 
 EXIT_OK = 0
@@ -179,6 +179,11 @@ def _open_model(args, schema: FeatureSchema):
     return model, state, warnings
 
 
+def _latents(model, state, features: np.ndarray, dtype: str) -> np.ndarray:
+    """The latents of ``features`` as a ``dtype`` container holds them."""
+    return stored_latents(autoencoder.encode(model, preprocess.transform(features, state)), dtype)
+
+
 def cmd_synth(args) -> int:
     cfg = load_config(args.config, args.seed)
     specs = cfg.synth.class_specs if cfg.synth.class_specs is not None else default_class_specs(cfg.synth.sigma)
@@ -239,7 +244,7 @@ def cmd_compress(args) -> int:
     model, state, warnings = _open_model(args, cfg.schema)
     ds = load_csv(args.input, cfg.schema)
 
-    latent = autoencoder.encode(model, preprocess.transform(ds.features, state))
+    latent = _latents(model, state, ds.features, cfg.latent_dtype)
     sections = write_latent(
         args.output, latent, ds, state.fingerprint(), dtype=cfg.latent_dtype, forced=bool(warnings)
     )
@@ -269,9 +274,7 @@ def cmd_decompress(args) -> int:
             f"latent width {lf.latent_dim} does not match the model bottleneck {model.latent_dim}"
         )
 
-    recon = preprocess.inverse_transform(
-        autoencoder.decode(model, np.asarray(lf.latent, dtype=np.float64)), state
-    )
+    recon = preprocess.inverse_transform(autoencoder.decode(model, lf.latent), state)
     write_csv(Dataset(lf.schema, recon, lf.identities, lf.labels), args.output)
     print(f"reconstructed {lf.n_rows} flows to {args.output}")
     return EXIT_OK
@@ -294,9 +297,8 @@ def cmd_evaluate(args) -> int:
         warnings = []
     else:
         model, state, warnings = _open_model(args, cfg.schema)
-        recon = preprocess.inverse_transform(
-            autoencoder.reconstruct(model, preprocess.transform(original, state)), state
-        )
+        latent = _latents(model, state, original, cfg.latent_dtype)
+        recon = preprocess.inverse_transform(autoencoder.decode(model, latent), state)
         latent_dim = model.latent_dim
 
     report = eval_metrics.build_report(
@@ -329,8 +331,9 @@ def cmd_evaluate(args) -> int:
 def _classify_arms(args, cfg: PipelineConfig, arms: tuple[str, ...], task: str):
     """Fit one forest per arm on one split of --input and score it on the
     held-out rows. An arm is the feature set the forest sees: "original"
-    or "compressed" (the model's latents). Writes each arm's reports and
-    returns the output directory and the reports in arm order."""
+    or "compressed" (the latents `compress` would store). Writes each
+    arm's reports and returns the output directory and the reports in arm
+    order."""
     ds = load_csv(args.input, replace(cfg.schema, identity_columns=()))  # as in cmd_train
     if not ds.is_labeled:
         raise DataError(f"{task} requires a labeled dataset")
@@ -341,7 +344,7 @@ def _classify_arms(args, cfg: PipelineConfig, arms: tuple[str, ...], task: str):
     features, warnings = {"original": ds.features}, {"original": []}
     if "compressed" in arms:
         model, state, warnings["compressed"] = _open_model(args, ds.schema)
-        features["compressed"] = autoencoder.encode(model, preprocess.transform(ds.features, state))
+        features["compressed"] = _latents(model, state, ds.features, cfg.latent_dtype)
 
     fitted = []
     for arm in arms:

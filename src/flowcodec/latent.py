@@ -96,6 +96,21 @@ class LatentFile:
         return int(self.latent.shape[1])
 
 
+def stored_latents(latent: np.ndarray, dtype: str) -> np.ndarray:
+    """``latent`` cast to ``dtype`` and C-contiguous, as a container stores
+    it and as every stage scores it; DataError if a value is not finite."""
+    if dtype not in LATENT_DTYPES:
+        raise DataError(f"latent dtype must be one of {sorted(LATENT_DTYPES)}, got {dtype!r}")
+    with np.errstate(over="ignore"):
+        stored = np.ascontiguousarray(latent, dtype=LATENT_DTYPES[dtype])
+    if not np.isfinite(stored).all():
+        raise DataError(
+            f"latent values are not finite as {dtype}; an input feature is far outside"
+            " the range the model was trained on"
+        )
+    return stored
+
+
 def write_latent(
     path: str | Path,
     latent: np.ndarray,
@@ -109,17 +124,15 @@ def write_latent(
     the magic and frame), ``block`` and ``sidecar`` (with its u64 length).
     ``dtype`` controls the stored latent precision and therefore the
     realized compression ratio."""
-    if dtype not in LATENT_DTYPES:
-        raise DataError(f"latent dtype must be one of {sorted(LATENT_DTYPES)}, got {dtype!r}")
-    latent = np.asarray(latent)
-    if latent.ndim != 2 or latent.shape[0] != len(dataset):
-        raise DataError(f"latent shape {latent.shape} does not match {len(dataset)} dataset rows")
+    stored = stored_latents(latent, dtype)
+    if stored.ndim != 2 or stored.shape[0] != len(dataset):
+        raise DataError(f"latent shape {stored.shape} does not match {len(dataset)} dataset rows")
 
     schema = dataset.schema
     labeled = dataset.labels is not None
     header = {
-        "n_rows": int(latent.shape[0]),
-        "latent_dim": int(latent.shape[1]),
+        "n_rows": int(stored.shape[0]),
+        "latent_dim": int(stored.shape[1]),
         "dtype": dtype,
         "feature_names": list(schema.compressible_columns),
         "identity_columns": list(schema.identity_columns),
@@ -129,13 +142,6 @@ def write_latent(
         "forced": bool(forced),
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with np.errstate(over="ignore"):
-        stored = np.ascontiguousarray(latent, dtype=LATENT_DTYPES[dtype])
-    if not np.isfinite(stored).all():
-        raise DataError(
-            f"latent values are not finite as {dtype}; an input feature is far outside"
-            " the range the model was trained on"
-        )
 
     columns = [dataset.identities[c] for c in schema.identity_columns]
     if labeled:

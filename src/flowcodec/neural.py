@@ -122,7 +122,6 @@ class TrainConfig:
     early_stop_patience: int = 20
     min_lr: float = 1e-6
     improvement_threshold: float = 1e-6
-    decoupled_weight_decay: bool = False
     seed: int = 42
 
     def __post_init__(self):
@@ -403,7 +402,7 @@ def adam_step(
     bc2 = 1.0 - b2**step_count
     p, g, m, v, t = state.params, state.grad, state.m, state.v, state._scratch
     n = state.n_weights
-    if wd != 0.0 and not config.decoupled_weight_decay:
+    if wd != 0.0:
         np.multiply(p[:n], wd, out=t[:n])
         g[:n] += t[:n]
     m *= b1
@@ -413,9 +412,6 @@ def adam_step(
     np.multiply(g, 1.0 - b2, out=t)
     t *= g
     v += t
-    if wd != 0.0 and config.decoupled_weight_decay:
-        np.multiply(p[:n], lr * wd, out=t[:n])
-        p[:n] -= t[:n]
     np.divide(m, bc1, out=g)
     g *= lr
     np.divide(v, bc2, out=t)

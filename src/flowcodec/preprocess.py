@@ -63,7 +63,8 @@ class PreprocessorState:
                 f"{path}: unsupported preprocessor version {doc.get('version')!r}"
             )
         names = tuple(field(doc, "feature_names", list[str], path))
-        p99_9, median, iqr = (field(doc, k, np.float64, path) for k in ("p99_9", "median", "iqr"))
+        arrays = (field(doc, k, list[float], path) for k in ("p99_9", "median", "iqr"))
+        p99_9, median, iqr = (np.array(a, dtype=np.float64) for a in arrays)
         if not all(a.shape == (len(names),) and np.isfinite(a).all() for a in (p99_9, median, iqr)):
             raise ModelFormatError(f"{path}: preprocessor arrays must hold one finite value per feature")
         if (iqr <= 0).any():

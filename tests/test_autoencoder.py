@@ -223,14 +223,12 @@ def _ref_adam(layers, state, grads, cfg, step, lr):
     bc2 = 1.0 - b2**step
     for (W, b), st, (dW, db) in zip(layers, state, grads):
         gW = dW
-        if cfg.weight_decay != 0.0 and not cfg.decoupled_weight_decay:
+        if cfg.weight_decay != 0.0:
             gW = dW + cfg.weight_decay * W
         st["mW"] = b1 * st["mW"] + (1.0 - b1) * gW
         st["vW"] = b2 * st["vW"] + (1.0 - b2) * gW * gW
         st["mb"] = b1 * st["mb"] + (1.0 - b1) * db
         st["vb"] = b2 * st["vb"] + (1.0 - b2) * db * db
-        if cfg.weight_decay != 0.0 and cfg.decoupled_weight_decay:
-            W -= lr * cfg.weight_decay * W
         W -= lr * (st["mW"] / bc1) / (np.sqrt(st["vW"] / bc2) + eps)
         b -= lr * (st["mb"] / bc1) / (np.sqrt(st["vb"] / bc2) + eps)
 
@@ -279,22 +277,21 @@ def _reference_train(xtr, xte, cfg, slope=0.2):
 
 
 @pytest.mark.parametrize(
-    "decoupled, n, batch_size, max_epochs",
+    "n, batch_size, max_epochs",
     [
         # 64 training rows in batches of 24, the last one short.
-        pytest.param(False, 80, 24, 4, id="False"),
-        pytest.param(True, 80, 24, 4, id="True"),
+        pytest.param(80, 24, 4, id="batch24"),
         # The production batch size over 640 rows: 256, 256 and a short 128.
-        pytest.param(False, 800, 256, 2, id="batch256"),
+        pytest.param(800, 256, 2, id="batch256"),
     ],
 )
-def test_train_matches_reference_loop_bit_for_bit(decoupled, n, batch_size, max_epochs):
+def test_train_matches_reference_loop_bit_for_bit(n, batch_size, max_epochs):
     # A clip norm that some steps exceed and others do not; a weight decay
     # large enough to matter; and an improvement threshold no epoch can
     # meet, so the rate halves from the third epoch on.
     xtr, xte = tiny_data(n=n, seed=13)
     cfg = tiny_config(max_epochs=max_epochs, batch_size=batch_size, clip_max_norm=2.0,
-                      weight_decay=1e-2, decoupled_weight_decay=decoupled, plateau_patience=1,
+                      weight_decay=1e-2, plateau_patience=1,
                       improvement_threshold=1e3)
     model, hist = train(xtr, xte, cfg)
     best, epochs, clipped = _reference_train(xtr, xte, cfg)

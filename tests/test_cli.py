@@ -265,6 +265,21 @@ def test_removed_forest_save_model_key_exits_1(tmp_path, capsys, value):
     assert [q.name for q in tmp_path.iterdir()] == ["c.json"]
 
 
+@pytest.mark.parametrize("value", [True, False])
+def test_removed_decoupled_weight_decay_key_exits_1(tmp_path, capsys, value):
+    # Weight decay always adds to the weight gradient, so a config that
+    # still picks the form of decay is refused by name rather than ignored.
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"train": {"decoupled_weight_decay": value}}))
+    with pytest.raises(ConfigError, match="decoupled_weight_decay"):
+        load_config(str(p))
+    code = main(["train", "--config", str(p), "--input", str(tmp_path / "missing.csv"),
+                 "--output-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert "decoupled_weight_decay" in capsys.readouterr().err
+    assert [q.name for q in tmp_path.iterdir()] == ["c.json"]
+
+
 @pytest.mark.parametrize("labeled", [True, False])
 def test_train_fits_the_preprocessor_on_the_train_rows_only(tmp_path, labeled):
     doc = {**FAST_CONFIG, "train": {"max_epochs": 1}}
@@ -534,13 +549,13 @@ def test_evaluate_from_model_matches_reconstructed_csv(tmp_path, fast_config):
     assert main(["evaluate", "--config", fast_config, "--original", str(data),
                  "--model", model, "--preprocessor", preproc,
                  "--output-dir", str(via_model)]) == 0
-    a = json.loads((via_csv / "reconstruction_report.json").read_text())
-    b = json.loads((via_model / "reconstruction_report.json").read_text())
-    # The CSV round-trip quantizes latents to float32 and features through
-    # repr(), so the two paths agree only loosely; MSE must be the same
-    # order of magnitude.
-    assert a["n_rows"] == b["n_rows"]
-    assert a["global"]["mse"] == pytest.approx(b["global"]["mse"], rel=0.05)
+    # --model decodes the latents the container stores, and recon.csv holds
+    # each reconstructed value as its repr, so both paths score the same
+    # floats and write the same bytes.
+    reports = sorted(p.name for p in via_csv.iterdir())
+    assert reports == sorted(p.name for p in via_model.iterdir()) and len(reports) == 4
+    for name in reports:
+        assert (via_csv / name).read_bytes() == (via_model / name).read_bytes(), name
 
 
 def _copy_without_identity_columns(src, dst, identity):
@@ -827,6 +842,36 @@ def test_compress_refuses_latents_that_overflow_the_stored_dtype(tmp_path, fast_
     assert code == 2 and err.startswith("error:") and "not finite as float32" in err
     assert "Traceback" not in err
     assert not latent.exists()
+
+
+def test_every_stage_that_scores_latents_refuses_one_that_overflows(tmp_path, fast_config, capsys):
+    # Each stage scores the latents a container would store, so a latent
+    # beyond float32's range stops evaluate --model, compare and classify
+    # as it stops compress. The file keeps all five classes, so no class
+    # count stops compare or classify first.
+    data, out = tmp_path / "flows.csv", tmp_path / "out"
+    main(["synth", "--config", fast_config, "--output", str(data)])
+    main(["train", "--config", fast_config, "--input", str(data), "--output-dir", str(out)])
+    lines = data.read_text().splitlines()
+    cells = lines[7].split(",")
+    cells[lines[0].split(",").index("bidirectional_bytes")] = "-1e300"
+    lines[7] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    model = ["--model", str(out / "autoencoder.fcae"), "--preprocessor", str(out / "preprocessor.json")]
+    result = tmp_path / "result"
+    for argv in (
+        ["compress", *model, "--input", str(bad), "--output", str(result)],
+        ["evaluate", *model, "--original", str(bad), "--output-dir", str(result)],
+        ["compare", *model, "--input", str(bad), "--output-dir", str(result)],
+        ["classify", "--features", "compressed", *model, "--input", str(bad), "--output-dir", str(result)],
+    ):
+        capsys.readouterr()
+        code = main([argv[0], "--config", fast_config, *argv[1:]])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error:") and "not finite as float32" in err, argv[0]
+        assert "Traceback" not in err
+        assert not result.exists()
 
 
 def test_compress_is_deterministic(tmp_path, fast_config):

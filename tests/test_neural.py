@@ -244,8 +244,8 @@ def _batch(dtype, seed=0, rows=256):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("max_norm", [1e-3, 1e6], ids=["clipped", "unclipped"])
-@pytest.mark.parametrize("decoupled", [False, True], ids=["coupled", "decoupled"])
-def test_step_kernels_keep_their_dtype(dtype, max_norm, decoupled):
+@pytest.mark.parametrize("weight_decay", [1e-2, 0.0], ids=["coupled", "no-decay"])
+def test_step_kernels_keep_their_dtype(dtype, max_norm, weight_decay):
     state = TrainState(_layers(dtype), dtype)
     layers = state.layers
     x = _batch(dtype)
@@ -264,7 +264,7 @@ def test_step_kernels_keep_their_dtype(dtype, max_norm, decoupled):
     assert np.array_equal(state.grad, unclipped) == (max_norm > norm)
     assert all(g.dtype == dtype for pair in state.grads for g in pair)
     clipped = state.grad.copy()
-    cfg = TrainConfig(weight_decay=1e-2, decoupled_weight_decay=decoupled)
+    cfg = TrainConfig(weight_decay=weight_decay)
     for step in (1, 2):
         state.grad[...] = clipped  # adam_step uses the gradient as working space
         adam_step(state, cfg, step_count=step, learning_rate=cfg.learning_rate / 2)
@@ -375,12 +375,12 @@ def reference_clip(grads, max_norm):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("max_norm", [1e-3, 1e6], ids=["clipped", "unclipped"])
-@pytest.mark.parametrize("decoupled", [False, True], ids=["coupled", "decoupled"])
-def test_vector_clip_and_adam_match_the_per_layer_formulas(dtype, max_norm, decoupled):
+@pytest.mark.parametrize("weight_decay", [1e-2, 0.0], ids=["coupled", "no-decay"])
+def test_vector_clip_and_adam_match_the_per_layer_formulas(dtype, max_norm, weight_decay):
     # Three steps over the production architecture against clipping and
     # Adam applied array by array; weights, gradients and moments must
     # agree bit for bit.
-    cfg = TrainConfig(weight_decay=1e-2, decoupled_weight_decay=decoupled)
+    cfg = TrainConfig(weight_decay=weight_decay)
     b1, b2, eps, wd = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon, cfg.weight_decay
     lr = cfg.learning_rate / 2
     state = TrainState(_layers(dtype), dtype)
@@ -396,9 +396,7 @@ def test_vector_clip_and_adam_match_the_per_layer_formulas(dtype, max_norm, deco
             assert dW.tobytes() == rW.tobytes() and db.tobytes() == rb.tobytes()
         adam_step(state, cfg, step_count=step, learning_rate=lr)
         for i, ((W, b), (gW, gb), (mW, vW, mb, vb)) in enumerate(zip(want, ref_grads, moments)):
-            if decoupled:
-                W = W - lr * wd * W
-            else:
+            if wd != 0.0:
                 gW = gW + wd * W
             W, mW, vW = reference_adam(W, gW, mW, vW, step, lr, b1, b2, eps)
             b, mb, vb = reference_adam(b, gb, mb, vb, step, lr, b1, b2, eps)
@@ -508,17 +506,6 @@ def test_coupled_weight_decay_adds_l2_term_and_skips_bias():
                              cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2,
                              cfg.adam_epsilon)
     assert np.allclose(layer.W, W, atol=1e-15)
-    assert layer.b[0] == 5.0
-
-
-def test_decoupled_weight_decay_shrinks_directly():
-    cfg = TrainConfig(weight_decay=0.01, decoupled_weight_decay=True)
-    state = _state([([[5.0]], [5.0])])
-    layer = state.layers[0]
-    adam_step(state, cfg, step_count=1)
-    # Zero gradient leaves the moments at zero, so the only change is the
-    # multiplicative shrink lr * wd.
-    assert layer.W[0, 0] == pytest.approx(5.0 * (1 - cfg.learning_rate * 0.01), rel=1e-15)
     assert layer.b[0] == 5.0
 
 
