@@ -315,7 +315,9 @@ def cmd_evaluate(args) -> int:
     report.save_json(out / "reconstruction_report.json")
     report.save_feature_csv(out / "feature_reconstruction.csv")
     report.save_correlation_csv(out / "correlation_difference.csv")
-    eval_metrics.save_row_percent_errors(original, recon, out / "row_percent_errors.csv")
+    eval_metrics.save_row_percent_errors(
+        report.row_percent_errors, report.row_excluded_zero_features, out / "row_percent_errors.csv"
+    )
 
     print(f"rows: {report.n_rows}")
     print(f"mse: {report.mse:.6g}  rmse: {report.rmse:.6g}  "

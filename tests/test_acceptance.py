@@ -21,9 +21,8 @@ from flowcodec.cli import main
 from flowcodec.eval_metrics import (
     compression_ratio,
     correlation_difference,
-    global_errors,
-    kl_divergence,
-    median_percent_error,
+    kl_divergences,
+    percent_errors,
 )
 from flowcodec.flow_data import default_class_specs, generate_synthetic, stratified_split
 from flowcodec.forest import fit_forest, fit_tree, predict, predict_tree
@@ -158,8 +157,7 @@ def test_criterion_03_low_rank_reconstruction():
 
     recon = preprocess.inverse_transform(autoencoder.reconstruct(model, xte), state)
     worst = 0.0
-    for j in range(21):
-        value, _ = median_percent_error(X[cut:, j], recon[:, j])
+    for value in percent_errors(X[cut:], recon).median_percent_error:
         worst = max(worst, value)
     assert worst < 5.0
     report(3, f"loss ratio {final / first:.4%} after {len(hist.epochs)} epochs, "
@@ -244,7 +242,7 @@ def test_criterion_06_metric_identities():
     for _ in range(25):
         y = rng.normal(size=400)
         yhat = y + rng.normal(scale=0.3, size=400)
-        g = global_errors(y, yhat)
+        g = percent_errors(y, yhat)
         assert abs(g.rmse - np.sqrt(g.mse)) <= 1e-9 * max(g.rmse, 1e-30)
 
     worst_kl = np.inf
@@ -256,11 +254,11 @@ def test_criterion_06_metric_identities():
             a, b = rng.lognormal(size=300), rng.lognormal(sigma=1.5, size=300)
         else:
             a, b = rng.uniform(size=300), rng.uniform(high=rng.uniform(0.5, 3), size=300)
-        kl = kl_divergence(a, b)
+        kl = float(kl_divergences(a, b)[0])
         worst_kl = min(worst_kl, kl)
         assert kl >= 0.0
     col = rng.normal(size=500)
-    assert kl_divergence(col, col.copy()) == 0.0
+    assert kl_divergences(col, col.copy())[0] == 0.0
 
     X = rng.normal(size=(300, 8))
     X[:, 3] = 2.0 * X[:, 0] + rng.normal(scale=0.1, size=300)  # correlated pair
@@ -444,8 +442,7 @@ def test_criterion_10_full_scale_accuracy():
     recon = preprocess.inverse_transform(autoencoder.reconstruct(model, scaled[te]), state)
 
     worst = 0.0
-    for j, _name in enumerate(ds.schema.compressible_columns):
-        value, _ = median_percent_error(ds.features[te][:, j], recon[:, j])
+    for value in percent_errors(ds.features[te], recon).median_percent_error:
         if value is not None:
             worst = max(worst, value)
     assert worst <= 2.5

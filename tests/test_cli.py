@@ -874,6 +874,48 @@ def test_every_stage_that_scores_latents_refuses_one_that_overflows(tmp_path, fa
         assert not result.exists()
 
 
+@pytest.fixture(scope="module")
+def small_model(tmp_path_factory):
+    """A 60-row synth file, a model trained on it, and the config both used."""
+    root = tmp_path_factory.mktemp("small_model")
+    config, data = root / "config.json", root / "flows.csv"
+    config.write_text(json.dumps({**FAST_CONFIG, "synth": {"n_per_class": 12}}))
+    assert main(["synth", "--config", str(config), "--output", str(data)]) == 0
+    assert main(["train", "--config", str(config), "--input", str(data), "--output-dir", str(root / "model")]) == 0
+    return config, data, root / "model"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("source", ["reconstructed", "model"])
+@pytest.mark.parametrize("value", ["1e308", "-1e308", "5e-324"])
+def test_evaluate_refuses_a_metric_that_overflows(tmp_path, capsys, small_model, source, value):
+    # One finite but extreme original cell: its squared error (1e308) or its
+    # relative error (5e-324) overflows float64. With --model, -1e308 stops
+    # earlier, at a latent that float32 cannot hold.
+    config, data, model_dir = small_model
+    lines = data.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[lines[0].split(",").index("src2dst_bytes")] = value
+    lines[5] = ",".join(cells)
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    if source == "reconstructed":
+        argv = ["--reconstructed", str(data)]
+    else:
+        argv = ["--model", str(model_dir / "autoencoder.fcae"), "--preprocessor", str(model_dir / "preprocessor.json")]
+    result = tmp_path / "result"
+    capsys.readouterr()
+    code = main(["evaluate", "--config", str(config), "--original", str(bad), *argv, "--output-dir", str(result)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err
+    if (source, value) == ("model", "-1e308"):
+        assert "not finite as float32" in err
+    else:
+        metric = "mape_percent" if value == "5e-324" else "mse"
+        assert f"{metric} is not finite (feature 'src2dst_bytes')" in err
+    assert not result.exists()
+
+
 def test_compress_is_deterministic(tmp_path, fast_config):
     data = tmp_path / "flows.csv"
     out = tmp_path / "out"
