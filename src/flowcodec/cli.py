@@ -286,30 +286,20 @@ def cmd_evaluate(args) -> int:
     # stops before its label cell is still refused.
     schema = replace(cfg.schema, identity_columns=())
     original = read_features(args.original, schema)
+    recon = read_features(args.reconstructed, schema)
+    if len(recon) != len(original):
+        raise DataError(f"row count mismatch: original {len(original)}, reconstructed {len(recon)}")
 
-    if args.reconstructed is not None:
-        recon = read_features(args.reconstructed, schema)
-        if len(recon) != len(original):
-            raise DataError(
-                f"row count mismatch: original {len(original)}, reconstructed {len(recon)}"
-            )
-        latent_dim = cfg.latent_dim
-        warnings = []
-    else:
-        model, state, warnings = _open_model(args, cfg.schema)
-        latent = _latents(model, state, original, cfg.latent_dtype)
-        recon = preprocess.inverse_transform(autoencoder.decode(model, latent), state)
-        latent_dim = model.latent_dim
-
+    # No model or container is read: the compression block takes latent_dim
+    # and latent_dtype from the config, which should be the one compress used.
     report = eval_metrics.build_report(
         original,
         recon,
         feature_names=cfg.schema.compressible_columns,
-        latent_dim=latent_dim,
+        latent_dim=cfg.latent_dim,
         kl_bins=cfg.metrics.kl_bins,
         original_width_bytes=cfg.metrics.original_width_bytes,
         latent_width_bytes=cfg.latent_width_bytes,
-        warnings=warnings,
     )
     out = _out_dir(args)
     report.save_json(out / "reconstruction_report.json")
@@ -377,8 +367,8 @@ def _classify_arms(args, cfg: PipelineConfig, arms: tuple[str, ...], task: str):
 
 def cmd_classify(args) -> int:
     cfg = load_config(args.config, args.seed)
-    out, (report,) = _classify_arms(args, cfg, (args.features,), "classification")
-    print(f"{args.features} features: accuracy {report.accuracy:.6f}, "
+    out, (report,) = _classify_arms(args, cfg, ("original",), "classification")
+    print(f"original features: accuracy {report.accuracy:.6f}, "
           f"macro f1 {report.macro_f1:.6f}, "
           f"{report.total_misclassified}/{report.total} misclassified")
     print(f"reports in {out}")
@@ -414,6 +404,12 @@ def _add_common(sub, output_dir: bool = False):
         sub.add_argument("--output-dir", default="out", help="directory for reports and artifacts")
 
 
+def _add_model(sub):
+    sub.add_argument("--model", required=True, help="autoencoder model (.fcae)")
+    sub.add_argument("--preprocessor", required=True, help="preprocessor state the model was trained with")
+    sub.add_argument("--force", action="store_true", help="override fingerprint mismatches")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="flowcodec", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
@@ -431,46 +427,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("compress", help="encode flows into a latent container")
     _add_common(p)
-    p.add_argument("--model", required=True)
-    p.add_argument("--preprocessor", required=True)
+    _add_model(p)
     p.add_argument("--input", required=True, help="flow CSV")
     p.add_argument("--output", required=True, help="latent container path")
-    p.add_argument("--force", action="store_true", help="override fingerprint mismatches")
     p.set_defaults(func=cmd_compress)
 
     p = commands.add_parser("decompress", help="reconstruct flows from a latent container")
-    p.add_argument("--model", required=True)
-    p.add_argument("--preprocessor", required=True)
+    _add_model(p)
     p.add_argument("--input", required=True, help="latent container path")
     p.add_argument("--output", required=True, help="CSV path to write")
-    p.add_argument("--force", action="store_true", help="override fingerprint mismatches")
     p.set_defaults(func=cmd_decompress)
 
     p = commands.add_parser("evaluate", help="score reconstruction fidelity")
     _add_common(p, output_dir=True)
     p.add_argument("--original", required=True, help="original flow CSV")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--reconstructed", help="reconstructed flow CSV")
-    group.add_argument("--model", help="autoencoder model (reconstruct on the fly)")
-    p.add_argument("--preprocessor", help="required with --model")
-    p.add_argument("--force", action="store_true", help="override fingerprint mismatches")
+    p.add_argument("--reconstructed", required=True, help="reconstructed flow CSV")
     p.set_defaults(func=cmd_evaluate)
 
-    p = commands.add_parser("classify", help="train and score a random forest on one feature set")
+    p = commands.add_parser("classify", help="train and score a random forest on the original features")
     _add_common(p, output_dir=True)
     p.add_argument("--input", required=True, help="labeled flow CSV")
-    p.add_argument("--features", choices=("original", "compressed"), default="original")
-    p.add_argument("--model", help="required with --features compressed")
-    p.add_argument("--preprocessor", help="required with --features compressed")
-    p.add_argument("--force", action="store_true", help="override fingerprint mismatches")
     p.set_defaults(func=cmd_classify)
 
     p = commands.add_parser("compare", help="classify on original and compressed features, then diff")
     _add_common(p, output_dir=True)
+    _add_model(p)
     p.add_argument("--input", required=True, help="labeled flow CSV")
-    p.add_argument("--model", required=True)
-    p.add_argument("--preprocessor", required=True)
-    p.add_argument("--force", action="store_true", help="override fingerprint mismatches")
     p.set_defaults(func=cmd_compare)
 
     return parser
@@ -479,12 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.func is cmd_evaluate and args.model is not None and args.preprocessor is None:
-        parser.error("--model requires --preprocessor")
-    if args.func is cmd_classify and args.features == "compressed" and (
-        args.model is None or args.preprocessor is None
-    ):
-        parser.error("--features compressed requires --model and --preprocessor")
     try:
         return args.func(args)
     except ConfigError as exc:

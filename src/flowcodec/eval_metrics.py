@@ -15,7 +15,7 @@ RuntimeWarning escapes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -311,7 +311,6 @@ class ReconstructionReport:
     n_rows: int
     row_percent_errors: np.ndarray  # NaN for a row with no nonzero original
     row_excluded_zero_features: np.ndarray
-    warnings: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         return {
@@ -338,7 +337,6 @@ class ReconstructionReport:
                 "bytes_original": self.bytes_original,
                 "bytes_compressed": self.bytes_compressed,
             },
-            "warnings": list(self.warnings),
         }
 
     def save_json(self, path: str | Path) -> None:
@@ -368,7 +366,6 @@ def build_report(
     latent_width_bytes: int,
     kl_bins: int = DEFAULT_KL_BINS,
     original_width_bytes: int = DEFAULT_ORIGINAL_WIDTH_BYTES,
-    warnings: list[str] | None = None,
 ) -> ReconstructionReport:
     """Assemble the full reconstruction report, per-row errors included,
     from original-unit matrices. A metric that is not finite raises a
@@ -402,7 +399,6 @@ def build_report(
         n_rows=y.shape[0],
         row_percent_errors=errors.row_percent_errors,
         row_excluded_zero_features=errors.row_excluded_zero_features,
-        warnings=list(warnings or []),
     )
 
 

@@ -211,21 +211,35 @@ def test_readme_config_block_lists_every_default():
 # ---------------------------------------------------------------- exit codes
 
 
-def test_usage_errors_exit_1(tmp_path):
+def test_usage_errors_exit_1():
     for argv in ([], ["frobnicate"], ["train"], ["synth", "--output"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
 
-    with pytest.raises(SystemExit) as exc:
-        main(["evaluate", "--original", "x.csv", "--model", "m.fcae",
-              "--output-dir", str(tmp_path)])
-    assert exc.value.code == 1
 
+MODEL_FLAGS = ["--model", "m.fcae", "--preprocessor", "p.json", "--force"]
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["evaluate", "--original", "x.csv", "--reconstructed", "y.csv", *MODEL_FLAGS],
+     ["--model", "--preprocessor", "--force"]),
+    (["classify", "--input", "x.csv", "--features", "compressed", *MODEL_FLAGS],
+     ["--features", "--model", "--preprocessor", "--force"]),
+    (["evaluate", "--original", "x.csv"], ["--reconstructed"]),
+])
+def test_evaluate_and_classify_run_no_model(tmp_path, capsys, argv, flags):
+    # Only compress, decompress and compare run the model. evaluate scores a
+    # reconstructed CSV and classify fits the original-feature forest, so
+    # model flags given to either are refused by name, and so is a missing
+    # --reconstructed.
+    out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        main(["classify", "--input", "x.csv", "--features", "compressed",
-              "--output-dir", str(tmp_path)])
+        main([*argv, "--output-dir", str(out)])
     assert exc.value.code == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("error: ") and all(flag in last for flag in flags), last
+    assert not out.exists()
 
 
 def test_missing_input_exits_2(tmp_path, capsys):
@@ -513,7 +527,7 @@ def test_full_pipeline(tmp_path, fast_config, capsys):
 
     cls_dir = tmp_path / "cls"
     assert main(["classify", "--config", fast_config, "--input", str(data),
-                 "--features", "original", "--output-dir", str(cls_dir)]) == 0
+                 "--output-dir", str(cls_dir)]) == 0
     cls = json.loads((cls_dir / "classification_report_original.json").read_text())
     assert set(cls["class_names"]) == {"bulk", "chat", "video", "voip", "web"}
     assert 0 < cls["accuracy"] <= 1
@@ -526,36 +540,9 @@ def test_full_pipeline(tmp_path, fast_config, capsys):
     cmp_doc = json.loads((cmp_dir / "comparison_report.json").read_text())
     assert cmp_doc["original"]["accuracy"] > 0
     assert listing(cmp_dir) == sorted(arm_files("original", "compressed") + listed["compare"])
-
-
-def test_evaluate_from_model_matches_reconstructed_csv(tmp_path, fast_config):
-    data = tmp_path / "flows.csv"
-    out = tmp_path / "out"
-    main(["synth", "--config", fast_config, "--output", str(data)])
-    main(["train", "--config", fast_config, "--input", str(data), "--output-dir", str(out)])
-    model, preproc = str(out / "autoencoder.fcae"), str(out / "preprocessor.json")
-
-    latent = tmp_path / "flows.fclz"
-    recon = tmp_path / "recon.csv"
-    main(["compress", "--config", fast_config, "--model", model,
-          "--preprocessor", preproc, "--input", str(data), "--output", str(latent)])
-    main(["decompress", "--model", model, "--preprocessor", preproc,
-          "--input", str(latent), "--output", str(recon)])
-
-    via_csv = tmp_path / "via_csv"
-    via_model = tmp_path / "via_model"
-    assert main(["evaluate", "--config", fast_config, "--original", str(data),
-                 "--reconstructed", str(recon), "--output-dir", str(via_csv)]) == 0
-    assert main(["evaluate", "--config", fast_config, "--original", str(data),
-                 "--model", model, "--preprocessor", preproc,
-                 "--output-dir", str(via_model)]) == 0
-    # --model decodes the latents the container stores, and recon.csv holds
-    # each reconstructed value as its repr, so both paths score the same
-    # floats and write the same bytes.
-    reports = sorted(p.name for p in via_csv.iterdir())
-    assert reports == sorted(p.name for p in via_model.iterdir()) and len(reports) == 4
-    for name in reports:
-        assert (via_csv / name).read_bytes() == (via_model / name).read_bytes(), name
+    # classify fits the forest of compare's original arm, on the same split.
+    for name in arm_files("original"):
+        assert (cls_dir / name).read_bytes() == (cmp_dir / name).read_bytes(), name
 
 
 def _copy_without_identity_columns(src, dst, identity):
@@ -644,19 +631,6 @@ def test_fingerprint_mismatch_and_force(tmp_path, fast_config, capsys):
     assert "mismatch" in capsys.readouterr().err
     assert read_latent(latent).forced is True
 
-    # evaluate with the mismatched pair: refused without --force, and the
-    # forced report carries a warning.
-    eval_dir = tmp_path / "eval"
-    assert main(["evaluate", "--config", fast_config, "--original", str(data),
-                 "--model", model_a, "--preprocessor", preproc_b,
-                 "--output-dir", str(eval_dir)]) == 2
-    capsys.readouterr()
-    assert main(["evaluate", "--config", fast_config, "--original", str(data),
-                 "--model", model_a, "--preprocessor", preproc_b,
-                 "--output-dir", str(eval_dir), "--force"]) == 0
-    report = json.loads((eval_dir / "reconstruction_report.json").read_text())
-    assert any("mismatch" in w for w in report["warnings"])
-
 
 @pytest.fixture
 def two_preprocessors(tmp_path, fast_config):
@@ -705,19 +679,21 @@ def test_forced_mismatch_warns_in_the_compressed_report_only(
         doc = json.loads((directory / f"classification_report_{arm}.json").read_text())
         return doc["warnings"]
 
-    cls_dir, cmp_dir = tmp_path / "cls", tmp_path / "cmp"
-    classify = ["classify", "--config", fast_config, "--input", str(data),
-                "--features", "compressed", *pair, "--output-dir", str(cls_dir)]
+    latent, cmp_dir = tmp_path / "flows.fclz", tmp_path / "cmp"
+    compress = ["compress", "--config", fast_config, *pair, "--input", str(data),
+                "--output", str(latent)]
     compare = ["compare", "--config", fast_config, "--input", str(data), *pair,
                "--output-dir", str(cmp_dir)]
     capsys.readouterr()
-    for argv, directory in ((classify, cls_dir), (compare, cmp_dir)):
+    for argv, output in ((compress, latent), (compare, cmp_dir)):
         assert main(argv) == 2
         assert "pass --force to override" in capsys.readouterr().err
-        assert not directory.exists()
+        assert not output.exists()
         assert main(argv + ["--force"]) == 0
         assert capsys.readouterr().err == f"warning: {warning}\n"
-        assert warnings(directory, "compressed") == [warning]
+    # The container records the override in its header.
+    assert read_latent(latent).forced is True
+    assert warnings(cmp_dir, "compressed") == [warning]
     assert warnings(cmp_dir, "original") == []
     comparison = json.loads((cmp_dir / "comparison_report.json").read_text())
     assert comparison["compressed"]["warnings"] == [warning]
@@ -743,10 +719,13 @@ def test_latent_width_follows_latent_dtype(tmp_path, capsys):
     sections = re.search(r"header (\d+), latent block (\d+), sidecar (\d+)", printed)
     assert int(sections[2]) == 300 * 16 * 8
     assert sum(map(int, sections.groups())) == fclz_bytes
-    assert main(["evaluate", "--config", str(cfg), "--original", str(data),
-                 "--model", str(out / "autoencoder.fcae"),
+    # evaluate reads neither model nor container: its ratio comes from the same config.
+    recon = tmp_path / "recon.csv"
+    assert main(["decompress", "--model", str(out / "autoencoder.fcae"),
                  "--preprocessor", str(out / "preprocessor.json"),
-                 "--output-dir", str(tmp_path / "eval")]) == 0
+                 "--input", str(tmp_path / "flows.fclz"), "--output", str(recon)]) == 0
+    assert main(["evaluate", "--config", str(cfg), "--original", str(data),
+                 "--reconstructed", str(recon), "--output-dir", str(tmp_path / "eval")]) == 0
     report = json.loads((tmp_path / "eval" / "reconstruction_report.json").read_text())
     assert report["compression"]["ratio"] == 1.3125
 
@@ -845,10 +824,9 @@ def test_compress_refuses_latents_that_overflow_the_stored_dtype(tmp_path, fast_
 
 
 def test_every_stage_that_scores_latents_refuses_one_that_overflows(tmp_path, fast_config, capsys):
-    # Each stage scores the latents a container would store, so a latent
-    # beyond float32's range stops evaluate --model, compare and classify
-    # as it stops compress. The file keeps all five classes, so no class
-    # count stops compare or classify first.
+    # compare scores the latents a container would store, so a latent
+    # beyond float32's range stops it as it stops compress. The file keeps
+    # all five classes, so no class count stops compare first.
     data, out = tmp_path / "flows.csv", tmp_path / "out"
     main(["synth", "--config", fast_config, "--output", str(data)])
     main(["train", "--config", fast_config, "--input", str(data), "--output-dir", str(out)])
@@ -862,9 +840,7 @@ def test_every_stage_that_scores_latents_refuses_one_that_overflows(tmp_path, fa
     result = tmp_path / "result"
     for argv in (
         ["compress", *model, "--input", str(bad), "--output", str(result)],
-        ["evaluate", *model, "--original", str(bad), "--output-dir", str(result)],
         ["compare", *model, "--input", str(bad), "--output-dir", str(result)],
-        ["classify", "--features", "compressed", *model, "--input", str(bad), "--output-dir", str(result)],
     ):
         capsys.readouterr()
         code = main([argv[0], "--config", fast_config, *argv[1:]])
@@ -875,44 +851,37 @@ def test_every_stage_that_scores_latents_refuses_one_that_overflows(tmp_path, fa
 
 
 @pytest.fixture(scope="module")
-def small_model(tmp_path_factory):
-    """A 60-row synth file, a model trained on it, and the config both used."""
-    root = tmp_path_factory.mktemp("small_model")
+def small_flows(tmp_path_factory):
+    """A 60-row synth file and the config that made it."""
+    root = tmp_path_factory.mktemp("small_flows")
     config, data = root / "config.json", root / "flows.csv"
     config.write_text(json.dumps({**FAST_CONFIG, "synth": {"n_per_class": 12}}))
     assert main(["synth", "--config", str(config), "--output", str(data)]) == 0
-    assert main(["train", "--config", str(config), "--input", str(data), "--output-dir", str(root / "model")]) == 0
-    return config, data, root / "model"
+    return config, data
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("source", ["reconstructed", "model"])
+@pytest.mark.parametrize("source", ["reconstructed"])
 @pytest.mark.parametrize("value", ["1e308", "-1e308", "5e-324"])
-def test_evaluate_refuses_a_metric_that_overflows(tmp_path, capsys, small_model, source, value):
-    # One finite but extreme original cell: its squared error (1e308) or its
-    # relative error (5e-324) overflows float64. With --model, -1e308 stops
-    # earlier, at a latent that float32 cannot hold.
-    config, data, model_dir = small_model
+def test_evaluate_refuses_a_metric_that_overflows(tmp_path, capsys, small_flows, source, value):
+    # One finite but extreme original cell, scored against the clean file:
+    # its squared error (1e308) or its relative error (5e-324) overflows
+    # float64.
+    config, data = small_flows
     lines = data.read_text().splitlines()
     cells = lines[5].split(",")
     cells[lines[0].split(",").index("src2dst_bytes")] = value
     lines[5] = ",".join(cells)
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(lines) + "\n")
-    if source == "reconstructed":
-        argv = ["--reconstructed", str(data)]
-    else:
-        argv = ["--model", str(model_dir / "autoencoder.fcae"), "--preprocessor", str(model_dir / "preprocessor.json")]
     result = tmp_path / "result"
     capsys.readouterr()
-    code = main(["evaluate", "--config", str(config), "--original", str(bad), *argv, "--output-dir", str(result)])
+    code = main(["evaluate", "--config", str(config), "--original", str(bad), f"--{source}", str(data),
+                 "--output-dir", str(result)])
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error:") and "Traceback" not in err
-    if (source, value) == ("model", "-1e308"):
-        assert "not finite as float32" in err
-    else:
-        metric = "mape_percent" if value == "5e-324" else "mse"
-        assert f"{metric} is not finite (feature 'src2dst_bytes')" in err
+    metric = "mape_percent" if value == "5e-324" else "mse"
+    assert f"{metric} is not finite (feature 'src2dst_bytes')" in err
     assert not result.exists()
 
 

@@ -1,11 +1,12 @@
 """Seeded mutation fuzz of the command line, through `cli.main`.
 
-Malformed flow CSVs go through compress, evaluate --model and compare, and
-malformed configs through synth and train. Every run must end in a
-documented exit code, with an ``error:`` line when it fails, and never in an
-exception that escapes `main`. Each kind draws from its own generator,
-seeded from its name, so adding or removing a kind leaves the variants of
-the others as they are.
+Malformed flow CSVs go through compress, evaluate (as its original, scored
+against the clean file) and compare, and malformed configs through synth
+and train. Every run must end in a documented exit code, with an ``error:``
+line when it fails, and never in an exception that escapes `main`; a run
+that succeeds must write JSON reports without NaN or Infinity. Each kind
+draws from its own generator, seeded from its name, so adding or removing a
+kind leaves the variants of the others as they are.
 """
 
 import copy
@@ -16,6 +17,8 @@ import numpy as np
 import pytest
 
 from flowcodec.cli import main
+from flowcodec.errors import FlowcodecError
+from flowcodec.flow_data import FeatureSchema, read_features
 
 BASE_CONFIG = {
     "seed": 7,
@@ -27,7 +30,10 @@ BASE_CONFIG = {
 }
 N_VARIANTS = 40
 # evaluate scores whatever finite cells a mutation leaves, so extreme ones
-# (1e308, 5e-324) reach its metrics; it gets more variants.
+# (1e308, 5e-324) reach its metrics. Its variants replace feature cells,
+# which keeps the row count of the clean file it is scored against, and it
+# gets more of them. compress and compare fuzz the same CSV reader byte by
+# byte.
 N_CSV_VARIANTS = {"compress": N_VARIANTS, "evaluate": 100, "compare": N_VARIANTS}
 
 # Cells that a flow CSV may hold by mistake: empty, non-finite, beyond or at
@@ -89,6 +95,39 @@ def _mutate_csv(rng, blob: bytes) -> bytes:
     return blob
 
 
+def _replace_feature_cells(rng, blob: bytes) -> bytes:
+    """``blob`` with one or two feature cells replaced by cells from CELLS."""
+    lines = blob.split(b"\r\n")
+    header = lines[0].decode().split(",")
+    columns = [header.index(name) for name in FeatureSchema().compressible_columns]
+    for _ in range(rng.integers(1, 3)):
+        row = rng.integers(1, len(lines) - 1)  # the last line is the empty one after the final \r\n
+        cells = lines[row].split(b",")
+        cells[columns[rng.integers(len(columns))]] = CELLS[rng.integers(len(CELLS))].encode("utf-8")
+        lines[row] = b",".join(cells)
+    return b"\r\n".join(lines)
+
+
+def _refuse_constant(constant):
+    raise ValueError(f"{constant} in a JSON report")
+
+
+def _assert_mse_named_iff_it_overflows(bad, clean: np.ndarray, err: str) -> None:
+    """evaluate refuses naming mse exactly when the squared errors of ``bad``
+    against ``clean`` overflow float64. A later check would refuse such a
+    file too (a cell that large also overflows its column's variance), so
+    only the name shows that the mse check fired."""
+    try:
+        y = read_features(bad)
+    except FlowcodecError:
+        return
+    if y.shape != clean.shape:
+        return
+    with np.errstate(over="ignore", invalid="ignore"):
+        overflows = not np.isfinite(np.mean(np.square(y - clean)))
+    assert overflows == err.startswith("error: mse is not finite"), err
+
+
 def _mutate_config(rng) -> str:
     """The base config as JSON text, with one or two keys set to a value
     from VALUES or deleted (one time in eight, the whole document replaced
@@ -121,6 +160,7 @@ def _run(argv, capsys, codes=(0, 1, 2)):
     assert "Traceback" not in err
     if code != 0:
         assert err.startswith("error:") or "\nerror:" in err, (argv, err)
+    return code, err
 
 
 @pytest.fixture(scope="module")
@@ -137,15 +177,22 @@ def trained(tmp_path_factory):
 @pytest.mark.parametrize("kind", ["compress", "evaluate", "compare"])
 def test_malformed_csvs_exit_with_a_documented_code(tmp_path, capsys, trained, kind):
     config, data, model = trained
-    rng, blob, bad = _rng(kind), data.read_bytes(), tmp_path / "bad.csv"
+    rng, blob, bad, out = _rng(kind), data.read_bytes(), tmp_path / "bad.csv", tmp_path / "out"
+    mutate = _replace_feature_cells if kind == "evaluate" else _mutate_csv
+    clean = read_features(data)
     for _ in range(N_CSV_VARIANTS[kind]):
-        bad.write_bytes(_mutate_csv(rng, blob))
+        bad.write_bytes(mutate(rng, blob))
         argv = {
-            "compress": ["--input", str(bad), "--output", str(tmp_path / "out.fclz")],
-            "evaluate": ["--original", str(bad), "--output-dir", str(tmp_path / "out")],
-            "compare": ["--input", str(bad), "--output-dir", str(tmp_path / "out")],
+            "compress": [*model, "--input", str(bad), "--output", str(tmp_path / "out.fclz")],
+            "evaluate": ["--original", str(bad), "--reconstructed", str(data), "--output-dir", str(out)],
+            "compare": [*model, "--input", str(bad), "--output-dir", str(out)],
         }[kind]
-        _run([kind, "--config", str(config), *model, *argv], capsys)
+        code, err = _run([kind, "--config", str(config), *argv], capsys)
+        if kind == "evaluate":
+            _assert_mse_named_iff_it_overflows(bad, clean, err)
+        if code == 0 and kind != "compress":
+            for report in out.glob("*.json"):
+                json.loads(report.read_text(encoding="utf-8"), parse_constant=_refuse_constant)
 
 
 @pytest.mark.parametrize("kind", ["synth", "train"])

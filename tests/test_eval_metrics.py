@@ -218,7 +218,7 @@ def test_build_report_structure_and_json(tmp_path):
     y = rng.lognormal(2.0, 1.0, size=(400, 4))
     yhat = y * rng.uniform(0.98, 1.02, size=y.shape)
     names = ("a", "b", "c", "d")
-    report = build_report(y, yhat, names, latent_dim=2, latent_width_bytes=4, warnings=["note"])
+    report = build_report(y, yhat, names, latent_dim=2, latent_width_bytes=4)
 
     assert report.rmse == pytest.approx(math.sqrt(report.mse), rel=1e-12)
     assert len(report.kl_divergence) == 4
@@ -226,11 +226,11 @@ def test_build_report_structure_and_json(tmp_path):
     assert report.compression_ratio == pytest.approx((4 * 8) / (2 * 4))
     assert report.bytes_original == 400 * 4 * 8
     assert report.bytes_compressed == 400 * 2 * 4
-    assert report.warnings == ["note"]
 
     json_path = tmp_path / "report.json"
     report.save_json(json_path)
     doc = json.loads(json_path.read_text())
+    assert set(doc) == {"n_rows", "feature_names", "global", "per_feature", "correlation_difference", "compression"}
     assert doc["global"]["rmse"] == report.rmse
     assert [row["feature"] for row in doc["per_feature"]] == list(names)
     assert doc["per_feature"][0]["excluded_zero_rows"] == 0
