@@ -61,12 +61,10 @@ class ForestSettings(TreeParams):
 @dataclass
 class MetricsSettings:
     kl_bins: int = eval_metrics.DEFAULT_KL_BINS
-    original_width_bytes: int = eval_metrics.DEFAULT_ORIGINAL_WIDTH_BYTES
 
     def __post_init__(self) -> None:
-        for name in ("kl_bins", "original_width_bytes"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"metrics.{name} must be >= 1, got {getattr(self, name)}")
+        if self.kl_bins < 1:
+            raise ConfigError(f"metrics.kl_bins must be >= 1, got {self.kl_bins}")
 
 
 @dataclass
@@ -101,11 +99,6 @@ class PipelineConfig:
             raise ConfigError(f"latent_dtype must be one of {sorted(LATENT_DTYPES)}, got {self.latent_dtype!r}")
         if self.latent_dim < 1 or any(h < 1 for h in self.hidden):
             raise ConfigError("layer widths must be positive")
-
-    @property
-    def latent_width_bytes(self) -> int:
-        """Bytes per stored latent value, as latent_dtype sets them."""
-        return np.dtype(self.latent_dtype).itemsize
 
 
 def _read_json(path: str, what: str):
@@ -240,7 +233,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_compress(args) -> int:
-    cfg = load_config(args.config, args.seed)
+    cfg = load_config(args.config)
     model, state, warnings = _open_model(args, cfg.schema)
     ds = load_csv(args.input, cfg.schema)
 
@@ -248,8 +241,9 @@ def cmd_compress(args) -> int:
     sections = write_latent(
         args.output, latent, ds, state.fingerprint(), dtype=cfg.latent_dtype, forced=bool(warnings)
     )
+    # An original value counts as 8 bytes, a latent value as its stored width.
     ratio = eval_metrics.compression_ratio(
-        model.n_features, model.latent_dim, cfg.metrics.original_width_bytes, cfg.latent_width_bytes
+        model.n_features, model.latent_dim, eval_metrics.DEFAULT_ORIGINAL_WIDTH_BYTES, latent.itemsize
     )
     print(f"compressed {len(ds)} flows to {args.output} "
           f"({model.n_features} -> {model.latent_dim} dims, feature ratio {ratio:g}x)")
@@ -281,7 +275,7 @@ def cmd_decompress(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = load_config(args.config, args.seed)
+    cfg = load_config(args.config)
     # Only the features are read; the label column stays, so a row that
     # stops before its label cell is still refused.
     schema = replace(cfg.schema, identity_columns=())
@@ -290,16 +284,8 @@ def cmd_evaluate(args) -> int:
     if len(recon) != len(original):
         raise DataError(f"row count mismatch: original {len(original)}, reconstructed {len(recon)}")
 
-    # No model or container is read: the compression block takes latent_dim
-    # and latent_dtype from the config, which should be the one compress used.
     report = eval_metrics.build_report(
-        original,
-        recon,
-        feature_names=cfg.schema.compressible_columns,
-        latent_dim=cfg.latent_dim,
-        kl_bins=cfg.metrics.kl_bins,
-        original_width_bytes=cfg.metrics.original_width_bytes,
-        latent_width_bytes=cfg.latent_width_bytes,
+        original, recon, feature_names=cfg.schema.compressible_columns, kl_bins=cfg.metrics.kl_bins
     )
     out = _out_dir(args)
     report.save_json(out / "reconstruction_report.json")
@@ -315,7 +301,6 @@ def cmd_evaluate(args) -> int:
     defined = [v for v in report.median_percent_error if v is not None]
     if defined:
         print(f"median percent error: worst feature {max(defined):.4g}%")
-    print(f"compression ratio: {report.compression_ratio:g}x")
     print(f"reports in {out}")
     return EXIT_OK
 
@@ -397,9 +382,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_CONFIG)
 
 
-def _add_common(sub, output_dir: bool = False):
+def _add_common(sub, seed: bool, output_dir: bool = False):
+    """--config, --seed for a command that draws random numbers, and --output-dir."""
     sub.add_argument("--config", help="pipeline config JSON")
-    sub.add_argument("--seed", type=int, help="override the config seed")
+    if seed:
+        sub.add_argument("--seed", type=int, help="override the config seed")
     if output_dir:
         sub.add_argument("--output-dir", default="out", help="directory for reports and artifacts")
 
@@ -415,18 +402,18 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     p = commands.add_parser("synth", help="generate a labeled synthetic flow CSV")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--n-per-class", type=int, help="rows per class (default from config)")
     p.add_argument("--output", required=True, help="CSV path to write")
     p.set_defaults(func=cmd_synth)
 
     p = commands.add_parser("train", help="fit the preprocessor and autoencoder")
-    _add_common(p, output_dir=True)
+    _add_common(p, seed=True, output_dir=True)
     p.add_argument("--input", required=True, help="flow CSV")
     p.set_defaults(func=cmd_train)
 
     p = commands.add_parser("compress", help="encode flows into a latent container")
-    _add_common(p)
+    _add_common(p, seed=False)
     _add_model(p)
     p.add_argument("--input", required=True, help="flow CSV")
     p.add_argument("--output", required=True, help="latent container path")
@@ -439,18 +426,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decompress)
 
     p = commands.add_parser("evaluate", help="score reconstruction fidelity")
-    _add_common(p, output_dir=True)
+    _add_common(p, seed=False, output_dir=True)
     p.add_argument("--original", required=True, help="original flow CSV")
     p.add_argument("--reconstructed", required=True, help="reconstructed flow CSV")
     p.set_defaults(func=cmd_evaluate)
 
     p = commands.add_parser("classify", help="train and score a random forest on the original features")
-    _add_common(p, output_dir=True)
+    _add_common(p, seed=True, output_dir=True)
     p.add_argument("--input", required=True, help="labeled flow CSV")
     p.set_defaults(func=cmd_classify)
 
     p = commands.add_parser("compare", help="classify on original and compressed features, then diff")
-    _add_common(p, output_dir=True)
+    _add_common(p, seed=True, output_dir=True)
     _add_model(p)
     p.add_argument("--input", required=True, help="labeled flow CSV")
     p.set_defaults(func=cmd_compare)

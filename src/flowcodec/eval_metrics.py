@@ -25,7 +25,7 @@ from ._fsutil import atomic_write, undefined_as_none, write_json, write_table
 from .errors import DataError
 
 DEFAULT_KL_BINS = 50
-DEFAULT_ORIGINAL_WIDTH_BYTES = 8
+DEFAULT_ORIGINAL_WIDTH_BYTES = 8  # bytes per original feature value that compress counts
 KL_EPSILON = 1e-10
 _BLOCK_ROWS = 512  # rows per block where a kernel needs several temporaries of that size
 _MEDIAN_COLUMNS = 7  # columns partitioned per call: a third of the copy, at the same speed
@@ -305,9 +305,6 @@ class ReconstructionReport:
     median_pe_excluded_zeros: list[int]
     kl_divergence: list[float]
     correlation_difference: np.ndarray
-    compression_ratio: float
-    bytes_original: int
-    bytes_compressed: int
     n_rows: int
     row_percent_errors: np.ndarray  # NaN for a row with no nonzero original
     row_excluded_zero_features: np.ndarray
@@ -332,11 +329,6 @@ class ReconstructionReport:
                 for i, name in enumerate(self.feature_names)
             ],
             "correlation_difference": undefined_as_none(self.correlation_difference),
-            "compression": {
-                "ratio": self.compression_ratio,
-                "bytes_original": self.bytes_original,
-                "bytes_compressed": self.bytes_compressed,
-            },
         }
 
     def save_json(self, path: str | Path) -> None:
@@ -362,17 +354,13 @@ def build_report(
     original: np.ndarray,
     reconstructed: np.ndarray,
     feature_names: tuple[str, ...],
-    latent_dim: int,
-    latent_width_bytes: int,
     kl_bins: int = DEFAULT_KL_BINS,
-    original_width_bytes: int = DEFAULT_ORIGINAL_WIDTH_BYTES,
 ) -> ReconstructionReport:
     """Assemble the full reconstruction report, per-row errors included,
     from original-unit matrices. A metric that is not finite raises a
     `DataError` naming it and the feature, before anything is written."""
     y, yhat = _pair(original, reconstructed)
-    n_features = y.shape[1]
-    if len(feature_names) != n_features:
+    if len(feature_names) != y.shape[1]:
         raise DataError("feature_names length does not match matrix width")
 
     try:
@@ -382,7 +370,6 @@ def build_report(
     except _NotFinite as exc:
         raise DataError(exc.describe(f"feature {feature_names[exc.column]!r}")) from None
 
-    ratio = compression_ratio(n_features, latent_dim, original_width_bytes, latent_width_bytes)
     return ReconstructionReport(
         feature_names=tuple(feature_names),
         mse=errors.mse,
@@ -393,9 +380,6 @@ def build_report(
         median_pe_excluded_zeros=errors.median_pe_excluded_zeros,
         kl_divergence=kls.tolist(),
         correlation_difference=corr,
-        compression_ratio=ratio,
-        bytes_original=y.shape[0] * n_features * original_width_bytes,
-        bytes_compressed=y.shape[0] * latent_dim * latent_width_bytes,
         n_rows=y.shape[0],
         row_percent_errors=errors.row_percent_errors,
         row_excluded_zero_features=errors.row_excluded_zero_features,

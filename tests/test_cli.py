@@ -66,8 +66,6 @@ def test_load_config_defaults():
     assert cfg.train.learning_rate == 0.001
     assert cfg.forest.n_trees == 100
     assert cfg.metrics.kl_bins == 50
-    assert cfg.metrics.original_width_bytes == 8
-    assert cfg.latent_width_bytes == 4
     assert cfg.synth.n_per_class == 2000
 
 
@@ -128,7 +126,6 @@ def test_load_config_rejects_bad_input(tmp_path):
         {"forest": {"max_features": "log2"}},
         {"forest": {"max_features": 0}},
         {"metrics": {"kl_bins": 0}},
-        {"metrics": {"original_width_bytes": 0}},
         {"train": {"seed": -1}},
         {"train": {"learning_rate": float("nan")}},
         {"train": {"adam_beta1": 1.5}},
@@ -242,6 +239,21 @@ def test_evaluate_and_classify_run_no_model(tmp_path, capsys, argv, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["compress", "--model", "m.fcae", "--preprocessor", "p.json", "--input", "x.csv", "--output"],
+    ["evaluate", "--original", "x.csv", "--reconstructed", "y.csv", "--output-dir"],
+])
+def test_compress_and_evaluate_take_no_seed(tmp_path, capsys, argv):
+    # Neither command draws a random number, so a --seed given to either is
+    # refused by name rather than ignored.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, str(tmp_path / "out"), "--seed", "1"])
+    assert exc.value.code == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("error: ") and "--seed" in last, last
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_missing_input_exits_2(tmp_path, capsys):
     code = main(["train", "--input", str(tmp_path / "nope.csv"),
                  "--output-dir", str(tmp_path / "out")])
@@ -291,6 +303,23 @@ def test_removed_decoupled_weight_decay_key_exits_1(tmp_path, capsys, value):
                  "--output-dir", str(tmp_path / "out")])
     assert code == 1
     assert "decoupled_weight_decay" in capsys.readouterr().err
+    assert [q.name for q in tmp_path.iterdir()] == ["c.json"]
+
+
+@pytest.mark.parametrize("value", [8, 4, 0])
+def test_removed_original_width_bytes_key_exits_1(tmp_path, capsys, value):
+    # compress counts every original value as 8 bytes, so a config that
+    # still sets that width is refused by name rather than ignored.
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"metrics": {"original_width_bytes": value}}))
+    with pytest.raises(ConfigError, match="original_width_bytes"):
+        load_config(str(p))
+    missing = str(tmp_path / "missing")
+    code = main(["compress", "--config", str(p), "--model", missing + ".fcae",
+                 "--preprocessor", missing + ".json", "--input", missing + ".csv",
+                 "--output", str(tmp_path / "out.fclz")])
+    assert code == 1
+    assert "original_width_bytes" in capsys.readouterr().err
     assert [q.name for q in tmp_path.iterdir()] == ["c.json"]
 
 
@@ -514,13 +543,15 @@ def test_full_pipeline(tmp_path, fast_config, capsys):
         assert recon_rows[i]["application_name"] == rows[i]["application_name"]
 
     eval_dir = tmp_path / "eval"
+    capsys.readouterr()
     assert main(["evaluate", "--config", fast_config, "--original", str(data),
                  "--reconstructed", str(recon), "--output-dir", str(eval_dir)]) == 0
+    assert "ratio" not in capsys.readouterr().out  # compress alone reports ratios
     report = json.loads((eval_dir / "reconstruction_report.json").read_text())
     assert report["n_rows"] == 300
     g = report["global"]
     assert g["rmse"] == pytest.approx(g["mse"] ** 0.5)
-    assert report["compression"]["ratio"] == pytest.approx(21 * 8 / (4 * 4))
+    assert "compression" not in report
     assert len(report["per_feature"]) == 21
     assert all(f["kl_divergence"] >= 0 for f in report["per_feature"])
     assert listing(eval_dir) == sorted(listed["evaluate"])
@@ -600,6 +631,24 @@ def test_evaluate_takes_csvs_without_identity_columns(tmp_path):
         out = tmp_path / f"eval{k}"
         assert main(["evaluate", "--original", str(paths["original"][k]),
                      "--reconstructed", str(paths["recon"][k]), "--output-dir", str(out)]) == 0
+        outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
+    assert len(outputs[0]) == 4
+    assert outputs[1] == outputs[0]
+
+
+def test_evaluate_reads_no_latent_settings(tmp_path):
+    # evaluate sees neither a model nor a container, so a config's latent
+    # settings change none of its report bytes.
+    original, recon = tmp_path / "original.csv", tmp_path / "recon.csv"
+    for path, seed in ((original, "0"), (recon, "1")):
+        assert main(["synth", "--n-per-class", "20", "--seed", seed, "--output", str(path)]) == 0
+    latent_config = tmp_path / "config.json"
+    latent_config.write_text(json.dumps({"latent_dim": 4, "latent_dtype": "float64"}))
+    outputs = []
+    for config in ([], ["--config", str(latent_config)]):
+        out = tmp_path / f"eval{len(outputs)}"
+        assert main(["evaluate", *config, "--original", str(original),
+                     "--reconstructed", str(recon), "--output-dir", str(out)]) == 0
         outputs.append({f.name: f.read_bytes() for f in out.iterdir()})
     assert len(outputs[0]) == 4
     assert outputs[1] == outputs[0]
@@ -719,15 +768,6 @@ def test_latent_width_follows_latent_dtype(tmp_path, capsys):
     sections = re.search(r"header (\d+), latent block (\d+), sidecar (\d+)", printed)
     assert int(sections[2]) == 300 * 16 * 8
     assert sum(map(int, sections.groups())) == fclz_bytes
-    # evaluate reads neither model nor container: its ratio comes from the same config.
-    recon = tmp_path / "recon.csv"
-    assert main(["decompress", "--model", str(out / "autoencoder.fcae"),
-                 "--preprocessor", str(out / "preprocessor.json"),
-                 "--input", str(tmp_path / "flows.fclz"), "--output", str(recon)]) == 0
-    assert main(["evaluate", "--config", str(cfg), "--original", str(data),
-                 "--reconstructed", str(recon), "--output-dir", str(tmp_path / "eval")]) == 0
-    report = json.loads((tmp_path / "eval" / "reconstruction_report.json").read_text())
-    assert report["compression"]["ratio"] == 1.3125
 
 
 def test_corrupt_artifacts_exit_2_without_traceback(tmp_path, fast_config, capsys, reheader):

@@ -218,19 +218,16 @@ def test_build_report_structure_and_json(tmp_path):
     y = rng.lognormal(2.0, 1.0, size=(400, 4))
     yhat = y * rng.uniform(0.98, 1.02, size=y.shape)
     names = ("a", "b", "c", "d")
-    report = build_report(y, yhat, names, latent_dim=2, latent_width_bytes=4)
+    report = build_report(y, yhat, names)
 
     assert report.rmse == pytest.approx(math.sqrt(report.mse), rel=1e-12)
     assert len(report.kl_divergence) == 4
     assert all(k >= 0 for k in report.kl_divergence)
-    assert report.compression_ratio == pytest.approx((4 * 8) / (2 * 4))
-    assert report.bytes_original == 400 * 4 * 8
-    assert report.bytes_compressed == 400 * 2 * 4
 
     json_path = tmp_path / "report.json"
     report.save_json(json_path)
     doc = json.loads(json_path.read_text())
-    assert set(doc) == {"n_rows", "feature_names", "global", "per_feature", "correlation_difference", "compression"}
+    assert set(doc) == {"n_rows", "feature_names", "global", "per_feature", "correlation_difference"}
     assert doc["global"]["rmse"] == report.rmse
     assert [row["feature"] for row in doc["per_feature"]] == list(names)
     assert doc["per_feature"][0]["excluded_zero_rows"] == 0
@@ -246,7 +243,7 @@ def test_build_report_json_replaces_nan_with_null(tmp_path):
     y = np.random.default_rng(12).normal(size=(50, 3))
     yhat = y.copy()
     yhat[:, 2] = 5.0
-    report = build_report(y, yhat, ("a", "b", "c"), latent_dim=1, latent_width_bytes=4)
+    report = build_report(y, yhat, ("a", "b", "c"))
     payload = json.dumps(report.to_json_dict(), allow_nan=False)
     assert "NaN" not in payload
 
@@ -397,7 +394,7 @@ def _oracle_pearson(m):
     return corr
 
 
-def _oracle_build_report(original, reconstructed, feature_names, latent_dim, latent_width_bytes, kl_bins=50):
+def _oracle_build_report(original, reconstructed, feature_names, kl_bins=50):
     """build_report as it was before the whole-matrix kernels: one np.median
     and two np.histogram calls per feature. The per-row means are left out;
     `_reference_save_row_percent_errors` is their oracle."""
@@ -419,9 +416,6 @@ def _oracle_build_report(original, reconstructed, feature_names, latent_dim, lat
         median_pe_excluded_zeros=med_excl,
         kl_divergence=kls,
         correlation_difference=_oracle_pearson(y) - _oracle_pearson(yhat),
-        compression_ratio=compression_ratio(y.shape[1], latent_dim, 8, latent_width_bytes),
-        bytes_original=y.shape[0] * y.shape[1] * 8,
-        bytes_compressed=y.shape[0] * latent_dim * latent_width_bytes,
         n_rows=y.shape[0],
         row_percent_errors=np.empty(0),
         row_excluded_zero_features=np.empty(0, dtype=int),
@@ -483,9 +477,9 @@ def _equivalence_cases():
 def test_reports_match_the_per_feature_oracle_byte_for_byte(tmp_path, case):
     y, yhat = _equivalence_cases()[case]
     names = tuple(f"f{j}" for j in range(y.shape[1]))
-    got = _four_reports(build_report(y, yhat, names, latent_dim=4, latent_width_bytes=4), tmp_path / "new")
+    got = _four_reports(build_report(y, yhat, names), tmp_path / "new")
     want = _four_reports(
-        _oracle_build_report(y, yhat, names, latent_dim=4, latent_width_bytes=4),
+        _oracle_build_report(y, yhat, names),
         tmp_path / "oracle",
         _reference_save_row_percent_errors(y, yhat),
     )
@@ -503,7 +497,7 @@ def test_a_metric_that_overflows_is_refused_naming_it_and_the_feature(value, met
     yhat = y * rng.normal(1.0, 0.05, y.shape)
     y[5, 2] = value
     with pytest.raises(DataError, match=f"^{metric} is not finite \\(feature 'c'\\)"):
-        build_report(y, yhat, ("a", "b", "c", "d"), latent_dim=2, latent_width_bytes=4)
+        build_report(y, yhat, ("a", "b", "c", "d"))
 
 
 def test_each_overflowing_metric_names_its_feature():
@@ -515,14 +509,14 @@ def test_each_overflowing_metric_names_its_feature():
     yhat = y.copy()
     y[7, 1], yhat[7, 1] = 1e-300, 1e7
     with pytest.raises(DataError, match=r"^mean_abs_percent_error is not finite \(row 7, feature 'b'\)"):
-        build_report(y, yhat, names, latent_dim=1, latent_width_bytes=4)
+        build_report(y, yhat, names)
     # Relative errors of 5e306 in 31 of a feature's 60 rows: MAPE and every
     # row mean stay finite, the median percent error does not.
     y = rng.lognormal(3.0, 1.0, (60, 3))
     yhat = y.copy()
     y[:31, 0], yhat[:31, 0] = 1e-300, 5e6
     with pytest.raises(DataError, match=r"^median_percent_error is not finite \(feature 'a'\)"):
-        build_report(y, yhat, names, latent_dim=1, latent_width_bytes=4)
+        build_report(y, yhat, names)
     # A range of ±1e308 cannot be binned; a variance of 1e200**2 overflows.
     y = rng.lognormal(3.0, 1.0, (60, 3))
     wide = y.copy()
@@ -532,7 +526,7 @@ def test_each_overflowing_metric_names_its_feature():
     big = y.copy()
     big[0, 1] = 1e200
     with pytest.raises(DataError, match=r"^correlation_difference is not finite \(feature 'b'\)"):
-        build_report(big, big, names, latent_dim=1, latent_width_bytes=4)
+        build_report(big, big, names)
 
 
 def test_metric_half_holds_about_two_input_sized_arrays(tmp_path):
@@ -543,7 +537,7 @@ def test_metric_half_holds_about_two_input_sized_arrays(tmp_path):
     names = tuple(f"f{j}" for j in range(21))
     tracemalloc.start()
     try:
-        report = build_report(y, yhat, names, latent_dim=16, latent_width_bytes=4)
+        report = build_report(y, yhat, names)
         save_row_percent_errors(report.row_percent_errors, report.row_excluded_zero_features, tmp_path / "rows.csv")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
