@@ -134,31 +134,17 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _fingerprint_warnings(matches: bool, refusal: str, subject: str, force: bool) -> list[str]:
-    """The fingerprint policy: a mismatch is refused unless --force is given.
-    A forced mismatch warns on stderr and returns the warning for the report."""
-    if matches:
-        return []
-    if not force:
-        raise FingerprintMismatchError(f"{refusal}; pass --force to override")
-    warning = f"{subject} fingerprint mismatch overridden by --force"
-    print(f"warning: {warning}", file=sys.stderr)
-    return [warning]
-
-
 def _open_model(args, schema: FeatureSchema):
     """Load --model and --preprocessor, and hold them to each other and to
-    the columns of ``schema``. Returns the model, the preprocessor state and
-    the report warnings of a forced fingerprint mismatch."""
+    the columns of ``schema``. Returns the model and the preprocessor state."""
     model = autoencoder.load_model(args.model)
     state = preprocess.PreprocessorState.load(args.preprocessor)
-    warnings = _fingerprint_warnings(
-        model.preprocessor_fingerprint == state.fingerprint(),
-        "model was trained with a different preprocessor "
-        f"({model.preprocessor_fingerprint[:12]}... vs {state.fingerprint()[:12]}...)",
-        "preprocessor",
-        args.force,
-    )
+    if model.preprocessor_fingerprint != state.fingerprint():
+        raise FingerprintMismatchError(
+            "model was trained with a different preprocessor "
+            f"({model.preprocessor_fingerprint[:12]}... vs {state.fingerprint()[:12]}...); "
+            "use the preprocessor.json that `train` wrote beside the model"
+        )
     if model.feature_names != state.feature_names:
         raise DataError(
             "model and preprocessor disagree on feature columns: "
@@ -169,7 +155,7 @@ def _open_model(args, schema: FeatureSchema):
             "feature columns do not match the model's training columns: "
             f"{schema.compressible_columns} vs {model.feature_names}"
         )
-    return model, state, warnings
+    return model, state
 
 
 def _latents(model, state, features: np.ndarray, dtype: str) -> np.ndarray:
@@ -234,13 +220,11 @@ def cmd_train(args) -> int:
 
 def cmd_compress(args) -> int:
     cfg = load_config(args.config)
-    model, state, warnings = _open_model(args, cfg.schema)
+    model, state = _open_model(args, cfg.schema)
     ds = load_csv(args.input, cfg.schema)
 
     latent = _latents(model, state, ds.features, cfg.latent_dtype)
-    sections = write_latent(
-        args.output, latent, ds, state.fingerprint(), dtype=cfg.latent_dtype, forced=bool(warnings)
-    )
+    sections = write_latent(args.output, latent, ds, state.fingerprint(), dtype=cfg.latent_dtype)
     # An original value counts as 8 bytes, a latent value as its stored width.
     ratio = eval_metrics.compression_ratio(
         model.n_features, model.latent_dim, eval_metrics.DEFAULT_ORIGINAL_WIDTH_BYTES, latent.itemsize
@@ -256,13 +240,13 @@ def cmd_compress(args) -> int:
 
 def cmd_decompress(args) -> int:
     lf = read_latent(args.input)
-    model, state, _ = _open_model(args, lf.schema)
-    _fingerprint_warnings(
-        lf.preprocessor_fingerprint == state.fingerprint(),
-        "latent file was produced with a different preprocessor",
-        "latent",
-        args.force,
-    )
+    model, state = _open_model(args, lf.schema)
+    if lf.preprocessor_fingerprint != state.fingerprint():
+        raise FingerprintMismatchError(
+            "latent file was produced with a different preprocessor "
+            f"({lf.preprocessor_fingerprint[:12]}... vs {state.fingerprint()[:12]}...); "
+            "use the model that compressed it and the preprocessor.json that `train` wrote beside it"
+        )
     if lf.latent_dim != model.latent_dim:
         raise DataError(
             f"latent width {lf.latent_dim} does not match the model bottleneck {model.latent_dim}"
@@ -318,9 +302,9 @@ def _classify_arms(args, cfg: PipelineConfig, arms: tuple[str, ...], task: str):
         raise DataError(f"{task} requires at least 2 classes")
     train_rows, test_rows = stratified_split(ds, cfg.test_fraction, cfg.seed)
 
-    features, warnings = {"original": ds.features}, {"original": []}
+    features = {"original": ds.features}
     if "compressed" in arms:
-        model, state, warnings["compressed"] = _open_model(args, ds.schema)
+        model, state = _open_model(args, ds.schema)
         features["compressed"] = _latents(model, state, ds.features, cfg.latent_dtype)
 
     fitted = []
@@ -337,7 +321,6 @@ def _classify_arms(args, cfg: PipelineConfig, arms: tuple[str, ...], task: str):
         predicted = predict(forest, x[test_rows])
         del forest  # freed before the next arm fits its own
         report = classify_eval.score(ds.label_ids[test_rows], predicted, tuple(ds.class_names))
-        report.warnings.extend(warnings[arm])
         fitted.append((arm, report))
 
     out = _out_dir(args)
@@ -394,7 +377,6 @@ def _add_common(sub, seed: bool, output_dir: bool = False):
 def _add_model(sub):
     sub.add_argument("--model", required=True, help="autoencoder model (.fcae)")
     sub.add_argument("--preprocessor", required=True, help="preprocessor state the model was trained with")
-    sub.add_argument("--force", action="store_true", help="override fingerprint mismatches")
 
 
 def build_parser() -> argparse.ArgumentParser:

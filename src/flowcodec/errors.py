@@ -34,7 +34,8 @@ class ModelFormatError(DataError):
 
 
 class FingerprintMismatchError(DataError):
-    """Model was trained with a different preprocessor than the one supplied."""
+    """The model or the container was made with another preprocessor than the
+    one supplied."""
 
 
 class DivergenceError(FlowcodecError):

@@ -5,7 +5,9 @@ and u32 header length, a JSON header, the row-major latent block, a u64
 sidecar length, then the sidecar, which runs to the end of the file.
 Identity data never goes through the autoencoder.
 
-The header names the schema's columns. The sidecar holds one stream per
+The header names the schema's columns. The reader ignores header keys it
+does not use, such as the ``forced`` flag that earlier writers added, so
+every version 3 container reads. The sidecar holds one stream per
 identity column in header order, then one for the label if the container is
 labeled, and nothing when the schema has neither. A stream is a u8 kind tag,
 the kind's fields, then its raw and packed byte lengths (u64 each) and that
@@ -85,7 +87,6 @@ class LatentFile:
     identities: dict[str, list[str]]
     labels: list[str] | None
     preprocessor_fingerprint: str
-    forced: bool
 
     @property
     def n_rows(self) -> int:
@@ -117,7 +118,6 @@ def write_latent(
     dataset: Dataset,
     preprocessor_fingerprint: str,
     dtype: str = DEFAULT_LATENT_DTYPE,
-    forced: bool = False,
 ) -> dict[str, int]:
     """Serialize ``latent`` and the pass-through columns of ``dataset``
     atomically, and return the byte count of each section: ``header`` (with
@@ -139,7 +139,6 @@ def write_latent(
         "label_column": schema.label_column or "",
         "labeled": labeled,
         "preprocessor_fingerprint": preprocessor_fingerprint,
-        "forced": bool(forced),
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
@@ -285,7 +284,6 @@ def read_latent(path: str | Path) -> LatentFile:
     labeled = field(header, "labeled", bool, path)
     feature_names = field(header, "feature_names", list[str], path)
     fingerprint = field(header, "preprocessor_fingerprint", str, path)
-    forced = field(header, "forced", bool, path)
     if labeled and not label_column:
         raise ModelFormatError(f"{path}: labeled container names no label column")
     try:
@@ -322,7 +320,6 @@ def read_latent(path: str | Path) -> LatentFile:
         identities=dict(zip(schema.identity_columns, cells)),
         labels=cells[-1] if labeled else None,
         preprocessor_fingerprint=fingerprint,
-        forced=forced,
     )
 
 

@@ -216,27 +216,31 @@ def test_usage_errors_exit_1():
 
 
 MODEL_FLAGS = ["--model", "m.fcae", "--preprocessor", "p.json", "--force"]
+OUT = "<out>"  # stands for an output path under tmp_path
 
 
 @pytest.mark.parametrize("argv, flags", [
-    (["evaluate", "--original", "x.csv", "--reconstructed", "y.csv", *MODEL_FLAGS],
+    (["evaluate", "--original", "x.csv", "--reconstructed", "y.csv", *MODEL_FLAGS, "--output-dir", OUT],
      ["--model", "--preprocessor", "--force"]),
-    (["classify", "--input", "x.csv", "--features", "compressed", *MODEL_FLAGS],
+    (["classify", "--input", "x.csv", "--features", "compressed", *MODEL_FLAGS, "--output-dir", OUT],
      ["--features", "--model", "--preprocessor", "--force"]),
-    (["evaluate", "--original", "x.csv"], ["--reconstructed"]),
+    (["evaluate", "--original", "x.csv", "--output-dir", OUT], ["--reconstructed"]),
+    (["compress", *MODEL_FLAGS, "--input", "x.csv", "--output", OUT], ["--force"]),
+    (["decompress", *MODEL_FLAGS, "--input", "x.fclz", "--output", OUT], ["--force"]),
+    (["compare", "--input", "x.csv", *MODEL_FLAGS, "--output-dir", OUT], ["--force"]),
 ])
 def test_evaluate_and_classify_run_no_model(tmp_path, capsys, argv, flags):
     # Only compress, decompress and compare run the model. evaluate scores a
     # reconstructed CSV and classify fits the original-feature forest, so
     # model flags given to either are refused by name, and so is a missing
-    # --reconstructed.
-    out = tmp_path / "out"
+    # --reconstructed. No command overrides a fingerprint mismatch, so
+    # --force is refused by name too.
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--output-dir", str(out)])
+        main([str(tmp_path / "out") if arg == OUT else arg for arg in argv])
     assert exc.value.code == 1
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith("error: ") and all(flag in last for flag in flags), last
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [
@@ -523,7 +527,6 @@ def test_full_pipeline(tmp_path, fast_config, capsys):
     lf = read_latent(latent)
     assert lf.n_rows == 300 and lf.latent_dim == 4
     assert lf.latent.dtype == np.float32
-    assert lf.forced is False
     # Identity columns ride along byte-for-byte.
     assert list(lf.identities) == list(lf.schema.identity_columns)
     for i in (0, 150, 299):
@@ -654,99 +657,133 @@ def test_evaluate_reads_no_latent_settings(tmp_path):
     assert outputs[1] == outputs[0]
 
 
-def test_fingerprint_mismatch_and_force(tmp_path, fast_config, capsys):
-    data = tmp_path / "flows.csv"
-    main(["synth", "--config", fast_config, "--output", str(data)])
-    out_a = tmp_path / "a"
-    out_b = tmp_path / "b"
-    main(["train", "--config", fast_config, "--input", str(data), "--output-dir", str(out_a)])
-    main(["train", "--config", fast_config, "--seed", "8", "--input", str(data),
-          "--output-dir", str(out_b)])
-
-    model_a = str(out_a / "autoencoder.fcae")
-    preproc_b = str(out_b / "preprocessor.json")
-    latent = tmp_path / "x.fclz"
-    code = main(["compress", "--config", fast_config, "--model", model_a,
-                 "--preprocessor", preproc_b, "--input", str(data),
-                 "--output", str(latent)])
-    assert code == 2
-    assert not latent.exists()
-    capsys.readouterr()
-
-    code = main(["compress", "--config", fast_config, "--model", model_a,
-                 "--preprocessor", preproc_b, "--input", str(data),
-                 "--output", str(latent), "--force"])
-    assert code == 0
-    assert "mismatch" in capsys.readouterr().err
-    assert read_latent(latent).forced is True
-
-
 @pytest.fixture
 def two_preprocessors(tmp_path, fast_config):
-    """A flow CSV, model and preprocessor "a", and preprocessor "b" of another seed."""
+    """A flow CSV, and models "a" and "b" of two seeds, each trained beside
+    its own preprocessor."""
     data = tmp_path / "flows.csv"
     main(["synth", "--config", fast_config, "--output", str(data)])
     for name, seed in (("a", "7"), ("b", "8")):
         main(["train", "--config", fast_config, "--seed", seed, "--input", str(data),
               "--output-dir", str(tmp_path / name)])
-    return (data, str(tmp_path / "a" / "autoencoder.fcae"),
-            str(tmp_path / "a" / "preprocessor.json"), str(tmp_path / "b" / "preprocessor.json"))
+    return data, {name: ["--model", str(tmp_path / name / "autoencoder.fcae"),
+                         "--preprocessor", str(tmp_path / name / "preprocessor.json")]
+                  for name in "ab"}
 
 
-def test_decompress_refuses_a_container_of_another_preprocessor(
-    tmp_path, fast_config, capsys, two_preprocessors
-):
-    data, model, preproc_a, preproc_b = two_preprocessors
-    latent = tmp_path / "b.fclz"
-    assert main(["compress", "--config", fast_config, "--model", model,
-                 "--preprocessor", preproc_b, "--input", str(data),
-                 "--output", str(latent), "--force"]) == 0
+def _pair(pairs, model, preprocessor):
+    """--model of one trained pair with --preprocessor of another."""
+    return [*pairs[model][:2], *pairs[preprocessor][2:]]
+
+
+def _assert_refused(tmp_path, capsys, argv, pairs):
+    """``argv`` with model "a" and preprocessor "b" is refused, and so is
+    ``argv`` with --force added: nothing is written under ``tmp_path``."""
+    before = sorted(tmp_path.iterdir())
     capsys.readouterr()
-
-    # The model and preprocessor agree; the container was written under "b".
-    recon = tmp_path / "recon.csv"
-    args = ["decompress", "--model", model, "--preprocessor", preproc_a,
-            "--input", str(latent), "--output", str(recon)]
-    assert main(args) == 2
+    # Every mismatch is refused: one error line that names the remedy.
+    assert main([*argv, *_pair(pairs, "a", "b")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: latent file was produced with a different preprocessor")
-    assert not recon.exists()
+    assert err.startswith("error: model was trained with a different preprocessor (")
+    assert err.endswith("; use the preprocessor.json that `train` wrote beside the model\n")
+    assert err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
+    # There is no override: --force is an unknown flag.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *_pair(pairs, "a", "b"), "--force"])
+    assert exc.value.code == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith("error: ") and "--force" in last, last
+    assert sorted(tmp_path.iterdir()) == before
 
-    assert main(args + ["--force"]) == 0
-    assert capsys.readouterr().err == "warning: latent fingerprint mismatch overridden by --force\n"
-    assert len(read_rows(recon)) == 300
+
+def test_fingerprint_mismatch_and_force(tmp_path, fast_config, capsys, two_preprocessors):
+    data, pairs = two_preprocessors
+    latent = tmp_path / "flows.fclz"
+    argv = ["compress", "--config", fast_config, "--input", str(data), "--output", str(latent)]
+    _assert_refused(tmp_path, capsys, argv, pairs)
+    # The remedy works.
+    assert main([*argv, *pairs["a"]]) == 0
+    assert capsys.readouterr().err == ""
+    assert read_latent(latent).n_rows == 300
 
 
 def test_forced_mismatch_warns_in_the_compressed_report_only(
     tmp_path, fast_config, capsys, two_preprocessors
 ):
-    data, model, _, preproc_b = two_preprocessors
-    pair = ["--model", model, "--preprocessor", preproc_b]
-    warning = "preprocessor fingerprint mismatch overridden by --force"
-
-    def warnings(directory, arm):
-        doc = json.loads((directory / f"classification_report_{arm}.json").read_text())
-        return doc["warnings"]
-
-    latent, cmp_dir = tmp_path / "flows.fclz", tmp_path / "cmp"
-    compress = ["compress", "--config", fast_config, *pair, "--input", str(data),
-                "--output", str(latent)]
-    compare = ["compare", "--config", fast_config, "--input", str(data), *pair,
-               "--output-dir", str(cmp_dir)]
-    capsys.readouterr()
-    for argv, output in ((compress, latent), (compare, cmp_dir)):
-        assert main(argv) == 2
-        assert "pass --force to override" in capsys.readouterr().err
-        assert not output.exists()
-        assert main(argv + ["--force"]) == 0
-        assert capsys.readouterr().err == f"warning: {warning}\n"
-    # The container records the override in its header.
-    assert read_latent(latent).forced is True
-    assert warnings(cmp_dir, "compressed") == [warning]
-    assert warnings(cmp_dir, "original") == []
+    # No mismatch can be forced, so no report of either arm carries a
+    # fingerprint warning: compare refuses the mismatch and --force alike.
+    data, pairs = two_preprocessors
+    cmp_dir = tmp_path / "cmp"
+    argv = ["compare", "--config", fast_config, "--input", str(data), "--output-dir", str(cmp_dir)]
+    _assert_refused(tmp_path, capsys, argv, pairs)
+    # The remedy works, and both arms report no warnings.
+    assert main([*argv, *pairs["a"]]) == 0
+    assert capsys.readouterr().err == ""
     comparison = json.loads((cmp_dir / "comparison_report.json").read_text())
-    assert comparison["compressed"]["warnings"] == [warning]
-    assert comparison["original"]["warnings"] == []
+    for arm in ("original", "compressed"):
+        doc = json.loads((cmp_dir / f"classification_report_{arm}.json").read_text())
+        assert doc["warnings"] == [] and comparison[arm]["warnings"] == []
+
+
+def test_decompress_refuses_a_container_of_another_preprocessor(
+    tmp_path, fast_config, capsys, two_preprocessors
+):
+    data, pairs = two_preprocessors
+    latent = tmp_path / "b.fclz"
+    assert main(["compress", "--config", fast_config, *pairs["b"], "--input", str(data),
+                 "--output", str(latent)]) == 0
+    capsys.readouterr()
+
+    recon = tmp_path / "recon.csv"
+    args = ["decompress", "--input", str(latent), "--output", str(recon)]
+    # The model and preprocessor agree; the container was written under "b".
+    assert main([*args, *pairs["a"]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: latent file was produced with a different preprocessor (")
+    assert err.endswith(
+        "; use the model that compressed it and the preprocessor.json that `train` wrote beside it\n"
+    )
+    assert err.count("\n") == 1
+    assert not recon.exists()
+    # A model of another preprocessor is refused first, as in compress.
+    assert main([*args, *_pair(pairs, "b", "a")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: model was trained with a different preprocessor (")
+    assert err.endswith("; use the preprocessor.json that `train` wrote beside the model\n")
+    assert not recon.exists()
+
+    # The remedy works.
+    assert main([*args, *pairs["b"]]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(read_rows(recon)) == 300
+
+
+def test_compress_and_compare_take_the_architecture_from_the_model(tmp_path, capsys):
+    # hidden and latent_dim are read only by train. A config that disagrees
+    # with the model on them changes no byte that compress or compare writes
+    # or prints.
+    trained, other = tmp_path / "trained.json", tmp_path / "other.json"
+    trained.write_text(json.dumps({**FAST_CONFIG, "latent_dim": 6}))
+    other.write_text(json.dumps({**FAST_CONFIG, "latent_dim": 4, "hidden": [7]}))
+    data, out = tmp_path / "flows.csv", tmp_path / "model"
+    assert main(["synth", "--config", str(trained), "--output", str(data)]) == 0
+    assert main(["train", "--config", str(trained), "--input", str(data), "--output-dir", str(out)]) == 0
+    model = ["--model", str(out / "autoencoder.fcae"), "--preprocessor", str(out / "preprocessor.json")]
+    latent, cmp_dir = tmp_path / "flows.fclz", tmp_path / "cmp"
+    capsys.readouterr()
+
+    runs = []
+    for config in (trained, other):
+        assert main(["compress", "--config", str(config), *model, "--input", str(data),
+                     "--output", str(latent)]) == 0
+        assert main(["compare", "--config", str(config), *model, "--input", str(data),
+                     "--output-dir", str(cmp_dir)]) == 0
+        files = {f.name: f.read_bytes() for f in cmp_dir.iterdir()}
+        runs.append((latent.read_bytes(), capsys.readouterr(), files))
+    assert "21 -> 6 dims" in runs[0][1].out
+    assert len(runs[0][2]) == 10
+    assert runs[1] == runs[0]
 
 
 def test_latent_width_follows_latent_dtype(tmp_path, capsys):

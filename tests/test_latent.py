@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import struct
 import zlib
@@ -53,20 +54,18 @@ def test_round_trip(tmp_path, dtype):
     assert loaded.labels == labels
     assert loaded.schema == SCHEMA
     assert loaded.preprocessor_fingerprint == "a" * 64
-    assert loaded.forced is False
     assert loaded.n_rows == 7 and loaded.latent_dim == 4
 
 
-def test_round_trip_unlabeled_and_forced(tmp_path):
+def test_round_trip_unlabeled(tmp_path):
     latent, identities, _ = sample_rows(n=3)
     path = tmp_path / "flows.fclz"
     unlabeled = FeatureSchema(ID_COLS, FEATURES, None)
-    write_sample(path, latent, sample_dataset(identities, None, unlabeled), forced=True)
+    write_sample(path, latent, sample_dataset(identities, None, unlabeled))
     loaded = read_latent(path)
     assert loaded.labels is None
     assert loaded.schema == unlabeled
     assert loaded.identities == identities
-    assert loaded.forced is True
 
 
 def test_round_trip_without_identities_or_labels(tmp_path):
@@ -222,12 +221,13 @@ def test_golden_bytes_of_a_three_row_container(tmp_path):
     path = tmp_path / "flows.fclz"
     sections = write_latent(path, latent, dataset, "f" * 64)
 
-    header = (
-        '{"dtype":"float32","feature_names":[' + ",".join(f'"f{j}"' for j in range(21))
-        + '],"forced":false,"identity_columns":["src_ip","dst_port","first_seen","last_seen","dst_ip"],'
-        '"label_column":"label","labeled":true,"latent_dim":2,"n_rows":3,'
-        '"preprocessor_fingerprint":"' + "f" * 64 + '"}'
-    ).encode()
+    def header(extra=""):
+        return (
+            '{"dtype":"float32","feature_names":[' + ",".join(f'"f{j}"' for j in range(21))
+            + '],' + extra + '"identity_columns":["src_ip","dst_port","first_seen","last_seen","dst_ip"],'
+            '"label_column":"label","labeled":true,"latent_dim":2,"n_rows":3,'
+            '"preprocessor_fingerprint":"' + "f" * 64 + '"}'
+        ).encode()
     block = struct.pack("<6f", 0.5, -1.0, 2.0, 0.25, -0.125, 3.0)
     streams = [
         # IPv4, u16 offsets 0, 257, 2 from 10.0.0.1: low bytes, then high.
@@ -247,12 +247,24 @@ def test_golden_bytes_of_a_three_row_container(tmp_path):
         fields + struct.pack("<QQ", len(raw), len(packed)) + packed
         for fields, raw, packed in ((f, raw, zlib.compress(raw, 1)) for f, raw in streams)
     )
-    expected = (b"FCLZ" + struct.pack("<II", 3, len(header)) + header + block
+
+    def container(head):
+        return (b"FCLZ" + struct.pack("<II", 3, len(head)) + head + block
                 + struct.pack("<Q", len(sidecar)) + sidecar)
-    assert path.read_bytes() == expected
-    assert sections == {"header": 12 + len(header), "block": 24, "sidecar": 8 + len(sidecar)}
+
+    assert path.read_bytes() == container(header())
+    assert sections == {"header": 12 + len(header()), "block": 24, "sidecar": 8 + len(sidecar)}
     loaded = read_latent(path)
     assert loaded.identities == identities and loaded.labels == ["web", "café", "dns"]
+
+    # Earlier writers added a "forced" key to the same version 3 header;
+    # such a container still reads, to the same contents.
+    legacy = tmp_path / "legacy.fclz"
+    legacy.write_bytes(container(header('"forced":false,')))
+    old = read_latent(legacy)
+    assert old.latent.dtype == loaded.latent.dtype and np.array_equal(old.latent, loaded.latent)
+    for name in (f.name for f in dataclasses.fields(old) if f.name != "latent"):
+        assert getattr(old, name) == getattr(loaded, name), name
 
 
 def test_read_refuses_format_version_1(tmp_path):
