@@ -37,7 +37,7 @@ from .flow_data import (
     write_csv,
 )
 from .forest import DEFAULT_N_TREES, TreeParams, fit_forest, predict
-from .latent import DEFAULT_LATENT_DTYPE, LATENT_DTYPES, read_latent, stored_latents, write_latent
+from .latent import read_latent, stored_latents, write_latent
 from .neural import TrainConfig
 
 EXIT_OK = 0
@@ -59,15 +59,6 @@ class ForestSettings(TreeParams):
 
 
 @dataclass
-class MetricsSettings:
-    kl_bins: int = eval_metrics.DEFAULT_KL_BINS
-
-    def __post_init__(self) -> None:
-        if self.kl_bins < 1:
-            raise ConfigError(f"metrics.kl_bins must be >= 1, got {self.kl_bins}")
-
-
-@dataclass
 class SynthSettings:
     n_per_class: int = 2000
     sigma: float = DEFAULT_SIGMA
@@ -83,11 +74,9 @@ class PipelineConfig:
     test_fraction: float = 0.2
     hidden: tuple[int, ...] = autoencoder.DEFAULT_HIDDEN
     latent_dim: int = autoencoder.DEFAULT_LATENT
-    latent_dtype: str = DEFAULT_LATENT_DTYPE
     schema: FeatureSchema = field(default_factory=FeatureSchema)
     train: TrainConfig = field(default_factory=TrainConfig)
     forest: ForestSettings = field(default_factory=ForestSettings)
-    metrics: MetricsSettings = field(default_factory=MetricsSettings)
     synth: SynthSettings = field(default_factory=SynthSettings)
 
     def __post_init__(self):
@@ -95,8 +84,6 @@ class PipelineConfig:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not 0.0 < self.test_fraction < 1.0:
             raise ConfigError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
-        if self.latent_dtype not in LATENT_DTYPES:
-            raise ConfigError(f"latent_dtype must be one of {sorted(LATENT_DTYPES)}, got {self.latent_dtype!r}")
         if self.latent_dim < 1 or any(h < 1 for h in self.hidden):
             raise ConfigError("layer widths must be positive")
 
@@ -114,17 +101,18 @@ def load_config(path: str | None, seed_override: int | None = None) -> PipelineC
     """Parse the pipeline config JSON; None means all defaults.
 
     ``schema`` holds the schema block or the path of a JSON file holding
-    it. The top-level seed cascades into the training block unless that
-    block pins its own; a --seed override beats both.
+    it. The top-level seed, or a --seed override, also seeds training; the
+    training block has no seed of its own.
     """
     doc = {} if path is None else _read_json(path, "config")
     if isinstance(doc, dict) and isinstance(doc.get("schema"), str):
         doc = {**doc, "schema": _read_json(doc["schema"], "schema file")}
     cfg = build(PipelineConfig, doc, f"config {path}")
+    if "seed" in doc.get("train", {}):
+        raise ConfigError(f"unknown key in config {path}: train.seed (the top-level seed also seeds training)")
     if seed_override is not None:
         cfg = replace(cfg, seed=seed_override)
-    if seed_override is not None or "seed" not in doc.get("train", {}):
-        cfg.train = replace(cfg.train, seed=cfg.seed)
+    cfg.train = replace(cfg.train, seed=cfg.seed)
     return cfg
 
 
@@ -158,9 +146,9 @@ def _open_model(args, schema: FeatureSchema):
     return model, state
 
 
-def _latents(model, state, features: np.ndarray, dtype: str) -> np.ndarray:
-    """The latents of ``features`` as a ``dtype`` container holds them."""
-    return stored_latents(autoencoder.encode(model, preprocess.transform(features, state)), dtype)
+def _latents(model, state, features: np.ndarray) -> np.ndarray:
+    """The latents of ``features`` as a container holds them."""
+    return stored_latents(autoencoder.encode(model, preprocess.transform(features, state)))
 
 
 def cmd_synth(args) -> int:
@@ -223,8 +211,8 @@ def cmd_compress(args) -> int:
     model, state = _open_model(args, cfg.schema)
     ds = load_csv(args.input, cfg.schema)
 
-    latent = _latents(model, state, ds.features, cfg.latent_dtype)
-    sections = write_latent(args.output, latent, ds, state.fingerprint(), dtype=cfg.latent_dtype)
+    latent = _latents(model, state, ds.features)
+    sections = write_latent(args.output, latent, ds, state.fingerprint())
     # An original value counts as 8 bytes, a latent value as its stored width.
     ratio = eval_metrics.compression_ratio(
         model.n_features, model.latent_dim, eval_metrics.DEFAULT_ORIGINAL_WIDTH_BYTES, latent.itemsize
@@ -268,9 +256,7 @@ def cmd_evaluate(args) -> int:
     if len(recon) != len(original):
         raise DataError(f"row count mismatch: original {len(original)}, reconstructed {len(recon)}")
 
-    report = eval_metrics.build_report(
-        original, recon, feature_names=cfg.schema.compressible_columns, kl_bins=cfg.metrics.kl_bins
-    )
+    report = eval_metrics.build_report(original, recon, feature_names=cfg.schema.compressible_columns)
     out = _out_dir(args)
     report.save_json(out / "reconstruction_report.json")
     report.save_feature_csv(out / "feature_reconstruction.csv")
@@ -305,7 +291,7 @@ def _classify_arms(args, cfg: PipelineConfig, arms: tuple[str, ...], task: str):
     features = {"original": ds.features}
     if "compressed" in arms:
         model, state = _open_model(args, ds.schema)
-        features["compressed"] = _latents(model, state, ds.features, cfg.latent_dtype)
+        features["compressed"] = _latents(model, state, ds.features)
 
     fitted = []
     for arm in arms:

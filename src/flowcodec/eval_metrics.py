@@ -354,7 +354,6 @@ def build_report(
     original: np.ndarray,
     reconstructed: np.ndarray,
     feature_names: tuple[str, ...],
-    kl_bins: int = DEFAULT_KL_BINS,
 ) -> ReconstructionReport:
     """Assemble the full reconstruction report, per-row errors included,
     from original-unit matrices. A metric that is not finite raises a
@@ -365,7 +364,7 @@ def build_report(
 
     try:
         errors = percent_errors(y, yhat)
-        kls = kl_divergences(y, yhat, bins=kl_bins)
+        kls = kl_divergences(y, yhat)
         corr = correlation_difference(y, yhat)
     except _NotFinite as exc:
         raise DataError(exc.describe(f"feature {feature_names[exc.column]!r}")) from None

@@ -1,17 +1,19 @@
 """Compressed flow container: latent matrix plus pass-through columns.
 
 Layout (format version 3): 4-byte magic, little-endian u32 format version
-and u32 header length, a JSON header, the row-major latent block, a u64
-sidecar length, then the sidecar, which runs to the end of the file.
+and u32 header length, a JSON header, the row-major float32 latent block, a
+u64 sidecar length, then the sidecar, which runs to the end of the file.
 Identity data never goes through the autoencoder.
 
-The header names the schema's columns. The reader ignores header keys it
-does not use, such as the ``forced`` flag that earlier writers added, so
-every version 3 container reads. The sidecar holds one stream per
-identity column in header order, then one for the label if the container is
-labeled, and nothing when the schema has neither. A stream is a u8 kind tag,
-the kind's fields, then its raw and packed byte lengths (u64 each) and that
-many bytes of one zlib stream, which inflates to exactly the raw length.
+The header names the schema's columns and the block's ``dtype``. The reader
+ignores header keys it does not use, such as the ``forced`` flag that earlier
+writers added, so every version 3 container of float32 latents reads; one
+whose ``dtype`` is anything else (earlier builds could store float64) is
+refused. The sidecar holds one stream per identity column in header order,
+then one for the label if the container is labeled, and nothing when the
+schema has neither. A stream is a u8 kind tag, the kind's fields, then its
+raw and packed byte lengths (u64 each) and that many bytes of one zlib
+stream, which inflates to exactly the raw length.
 Column stores and flow exporters compress each column on its own for the
 same reason: a column's cells resemble each other far more than a row's do.
 
@@ -59,8 +61,7 @@ from .flow_data import Dataset, FeatureSchema
 
 LATENT_MAGIC = b"FCLZ"
 LATENT_FORMAT_VERSION = 3
-LATENT_DTYPES = {"float32": np.float32, "float64": np.float64}
-DEFAULT_LATENT_DTYPE = "float32"
+_DTYPE = np.dtype(np.float32)  # the one stored latent precision, named in the header
 _STREAM = struct.Struct("<QQ")  # raw and packed byte lengths of one sidecar stream
 _TEXT, _INTS, _DIFFS, _IPV4 = range(4)  # sidecar stream kinds
 _KIND, _WIDTH, _BASE = struct.Struct("<B"), struct.Struct("<B"), struct.Struct("<q")
@@ -97,16 +98,14 @@ class LatentFile:
         return int(self.latent.shape[1])
 
 
-def stored_latents(latent: np.ndarray, dtype: str) -> np.ndarray:
-    """``latent`` cast to ``dtype`` and C-contiguous, as a container stores
+def stored_latents(latent: np.ndarray) -> np.ndarray:
+    """``latent`` cast to float32 and C-contiguous, as a container stores
     it and as every stage scores it; DataError if a value is not finite."""
-    if dtype not in LATENT_DTYPES:
-        raise DataError(f"latent dtype must be one of {sorted(LATENT_DTYPES)}, got {dtype!r}")
     with np.errstate(over="ignore"):
-        stored = np.ascontiguousarray(latent, dtype=LATENT_DTYPES[dtype])
+        stored = np.ascontiguousarray(latent, dtype=_DTYPE)
     if not np.isfinite(stored).all():
         raise DataError(
-            f"latent values are not finite as {dtype}; an input feature is far outside"
+            f"latent values are not finite as {_DTYPE.name}; an input feature is far outside"
             " the range the model was trained on"
         )
     return stored
@@ -117,14 +116,12 @@ def write_latent(
     latent: np.ndarray,
     dataset: Dataset,
     preprocessor_fingerprint: str,
-    dtype: str = DEFAULT_LATENT_DTYPE,
 ) -> dict[str, int]:
-    """Serialize ``latent`` and the pass-through columns of ``dataset``
-    atomically, and return the byte count of each section: ``header`` (with
-    the magic and frame), ``block`` and ``sidecar`` (with its u64 length).
-    ``dtype`` controls the stored latent precision and therefore the
-    realized compression ratio."""
-    stored = stored_latents(latent, dtype)
+    """Serialize ``latent`` as float32 and the pass-through columns of
+    ``dataset`` atomically, and return the byte count of each section:
+    ``header`` (with the magic and frame), ``block`` and ``sidecar`` (with
+    its u64 length)."""
+    stored = stored_latents(latent)
     if stored.ndim != 2 or stored.shape[0] != len(dataset):
         raise DataError(f"latent shape {stored.shape} does not match {len(dataset)} dataset rows")
 
@@ -133,7 +130,7 @@ def write_latent(
     header = {
         "n_rows": int(stored.shape[0]),
         "latent_dim": int(stored.shape[1]),
-        "dtype": dtype,
+        "dtype": _DTYPE.name,
         "feature_names": list(schema.compressible_columns),
         "identity_columns": list(schema.identity_columns),
         "label_column": schema.label_column or "",
@@ -273,8 +270,11 @@ def read_latent(path: str | Path) -> LatentFile:
         remedy=f" (this build reads {LATENT_FORMAT_VERSION}); re-run `flowcodec compress` to rewrite it",
     )
     dtype = field(header, "dtype", str, path)
-    if dtype not in LATENT_DTYPES:
-        raise ModelFormatError(f"{path}: unknown latent dtype {dtype!r}")
+    if dtype != _DTYPE.name:
+        raise ModelFormatError(
+            f"{path}: unsupported latent dtype {dtype!r} (this build reads {_DTYPE.name!r});"
+            " re-run `flowcodec compress` to rewrite it"
+        )
     n_rows = field(header, "n_rows", int, path)
     latent_dim = field(header, "latent_dim", int, path)
     if n_rows < 0 or latent_dim < 1:
@@ -291,12 +291,11 @@ def read_latent(path: str | Path) -> LatentFile:
     except SchemaError as exc:
         raise ModelFormatError(f"{path}: header column names: {exc}") from exc
 
-    itemsize = np.dtype(LATENT_DTYPES[dtype]).itemsize
-    block_len = n_rows * latent_dim * itemsize
+    block_len = n_rows * latent_dim * _DTYPE.itemsize
     if len(blob) < block_start + block_len + 8:
         raise ModelFormatError(f"{path}: latent block truncated")
     latent = np.frombuffer(
-        blob, dtype=LATENT_DTYPES[dtype], count=n_rows * latent_dim, offset=block_start
+        blob, dtype=_DTYPE, count=n_rows * latent_dim, offset=block_start
     ).reshape(n_rows, latent_dim).copy()
     if not np.isfinite(latent).all():
         raise ModelFormatError(f"{path}: latent block holds non-finite values")

@@ -61,11 +61,9 @@ def test_load_config_defaults():
     assert cfg.test_fraction == 0.2
     assert cfg.hidden == (128, 64)
     assert cfg.latent_dim == 16
-    assert cfg.latent_dtype == "float32"
     assert cfg.train.seed == 42
     assert cfg.train.learning_rate == 0.001
     assert cfg.forest.n_trees == 100
-    assert cfg.metrics.kl_bins == 50
     assert cfg.synth.n_per_class == 2000
 
 
@@ -75,13 +73,16 @@ def test_load_config_seed_cascade(tmp_path):
     cfg = load_config(str(p))
     assert cfg.seed == 5 and cfg.train.seed == 5
 
-    p.write_text(json.dumps({"seed": 5, "train": {"seed": 9}}))
-    cfg = load_config(str(p))
-    assert cfg.seed == 5 and cfg.train.seed == 9
-
-    # A command-line override beats both.
+    # A command-line override seeds both.
     cfg = load_config(str(p), seed_override=11)
     assert cfg.seed == 11 and cfg.train.seed == 11
+
+    # The training block has no seed of its own, so pinning one is refused.
+    p.write_text(json.dumps({"seed": 5, "train": {"seed": 9}}))
+    with pytest.raises(ConfigError, match=r"train\.seed"):
+        load_config(str(p))
+    with pytest.raises(ConfigError, match=r"train\.seed"):
+        load_config(str(p), seed_override=11)
 
 
 def test_load_config_rejects_bad_input(tmp_path):
@@ -112,11 +113,8 @@ def test_load_config_rejects_bad_input(tmp_path):
         {"hidden": 5},
         {"hidden": [16, "8"]},
         {"latent_dim": "16"},
-        {"latent_dtype": 32},
-        {"latent_dtype": "float16"},
         {"forest": {"n_trees": "3"}},
         {"forest": 5},
-        {"metrics": {"kl_bins": "x"}},
         {"train": {"max_epochs": 2.5}},
         {"synth": {"sigma": None}},
         # Out-of-range values are refused at load too, not after the data loads.
@@ -125,8 +123,6 @@ def test_load_config_rejects_bad_input(tmp_path):
         {"forest": {"min_samples_split": 1}},
         {"forest": {"max_features": "log2"}},
         {"forest": {"max_features": 0}},
-        {"metrics": {"kl_bins": 0}},
-        {"train": {"seed": -1}},
         {"train": {"learning_rate": float("nan")}},
         {"train": {"adam_beta1": 1.5}},
         {"train": {"adam_epsilon": 0}},
@@ -202,6 +198,9 @@ def test_readme_config_block_lists_every_default():
     block = json.loads(section.split("```json", 1)[1].split("```", 1)[0])
     defaults = json.loads(json.dumps(dataclasses.asdict(load_config(None))))
     del block["schema"], defaults["schema"]  # the README abbreviates the column lists
+    # TrainConfig.seed is a library argument; a config sets only the
+    # top-level seed, which load_config copies into it.
+    del defaults["train"]["seed"]
     assert block == defaults
 
 
@@ -295,35 +294,49 @@ def test_removed_forest_save_model_key_exits_1(tmp_path, capsys, value):
     assert [q.name for q in tmp_path.iterdir()] == ["c.json"]
 
 
-@pytest.mark.parametrize("value", [True, False])
-def test_removed_decoupled_weight_decay_key_exits_1(tmp_path, capsys, value):
-    # Weight decay always adds to the weight gradient, so a config that
-    # still picks the form of decay is refused by name rather than ignored.
-    p = tmp_path / "c.json"
-    p.write_text(json.dumps({"train": {"decoupled_weight_decay": value}}))
-    with pytest.raises(ConfigError, match="decoupled_weight_decay"):
-        load_config(str(p))
-    code = main(["train", "--config", str(p), "--input", str(tmp_path / "missing.csv"),
-                 "--output-dir", str(tmp_path / "out")])
-    assert code == 1
-    assert "decoupled_weight_decay" in capsys.readouterr().err
-    assert [q.name for q in tmp_path.iterdir()] == ["c.json"]
+def _removed_key_argv(command, config, missing):
+    """``command`` run with ``config`` on inputs that do not exist, so that
+    only the config can stop it before it writes anything."""
+    inputs = {
+        "train": ["--input", missing + ".csv", "--output-dir", missing + "_out"],
+        "compress": ["--model", missing + ".fcae", "--preprocessor", missing + ".json",
+                     "--input", missing + ".csv", "--output", missing + ".fclz"],
+        "evaluate": ["--original", missing + ".csv", "--reconstructed", missing + "_recon.csv",
+                     "--output-dir", missing + "_out"],
+    }
+    return [command, "--config", config, *inputs[command]]
 
 
-@pytest.mark.parametrize("value", [8, 4, 0])
-def test_removed_original_width_bytes_key_exits_1(tmp_path, capsys, value):
-    # compress counts every original value as 8 bytes, so a config that
-    # still sets that width is refused by name rather than ignored.
+# Each key is a setting no run varied, so a config that still sets it is
+# refused by name rather than ignored:
+# - weight decay always adds to the weight gradient;
+# - compress counts every original value as 8 bytes and the KL histogram
+#   always has 50 bins, so there is no `metrics` block;
+# - a container always stores float32 latents;
+# - the top-level seed (or --seed) always seeds training.
+@pytest.mark.parametrize("doc, key, command", [
+    pytest.param({"train": {"decoupled_weight_decay": value}}, "decoupled_weight_decay", "train",
+                 id=f"decoupled_weight_decay-{value}")
+    for value in (True, False)
+] + [
+    pytest.param({"metrics": {"original_width_bytes": value}}, "metrics", "compress",
+                 id=f"original_width_bytes-{value}")
+    for value in (8, 4, 0)
+] + [
+    pytest.param({"latent_dtype": value}, "latent_dtype", "compress", id=f"latent_dtype-{value}")
+    for value in ("float64", "float32")
+] + [
+    pytest.param({"metrics": {"kl_bins": 50}}, "metrics", "evaluate", id="kl_bins"),
+    pytest.param({"train": {"seed": 9}}, "train.seed", "train", id="train.seed"),
+])
+def test_removed_key_exits_1(tmp_path, capsys, doc, key, command):
     p = tmp_path / "c.json"
-    p.write_text(json.dumps({"metrics": {"original_width_bytes": value}}))
-    with pytest.raises(ConfigError, match="original_width_bytes"):
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError, match=re.escape(key)):
         load_config(str(p))
-    missing = str(tmp_path / "missing")
-    code = main(["compress", "--config", str(p), "--model", missing + ".fcae",
-                 "--preprocessor", missing + ".json", "--input", missing + ".csv",
-                 "--output", str(tmp_path / "out.fclz")])
-    assert code == 1
-    assert "original_width_bytes" in capsys.readouterr().err
+    assert main(_removed_key_argv(command, str(p), str(tmp_path / "missing"))) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
     assert [q.name for q in tmp_path.iterdir()] == ["c.json"]
 
 
@@ -640,13 +653,13 @@ def test_evaluate_takes_csvs_without_identity_columns(tmp_path):
 
 
 def test_evaluate_reads_no_latent_settings(tmp_path):
-    # evaluate sees neither a model nor a container, so a config's latent
-    # settings change none of its report bytes.
+    # evaluate sees neither a model nor a container and reads only the
+    # config's schema, so a latent width changes none of its report bytes.
     original, recon = tmp_path / "original.csv", tmp_path / "recon.csv"
     for path, seed in ((original, "0"), (recon, "1")):
         assert main(["synth", "--n-per-class", "20", "--seed", seed, "--output", str(path)]) == 0
     latent_config = tmp_path / "config.json"
-    latent_config.write_text(json.dumps({"latent_dim": 4, "latent_dtype": "float64"}))
+    latent_config.write_text(json.dumps({"latent_dim": 4}))
     outputs = []
     for config in ([], ["--config", str(latent_config)]):
         out = tmp_path / f"eval{len(outputs)}"
@@ -786,9 +799,9 @@ def test_compress_and_compare_take_the_architecture_from_the_model(tmp_path, cap
     assert runs[1] == runs[0]
 
 
-def test_latent_width_follows_latent_dtype(tmp_path, capsys):
+def test_compress_prints_the_float32_latent_widths(tmp_path, capsys):
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({**FAST_CONFIG, "latent_dim": 16, "latent_dtype": "float64"}))
+    cfg.write_text(json.dumps({**FAST_CONFIG, "latent_dim": 16}))
     data, out = tmp_path / "flows.csv", tmp_path / "out"
     assert main(["synth", "--config", str(cfg), "--output", str(data)]) == 0
     assert main(["train", "--config", str(cfg), "--input", str(data), "--output-dir", str(out)]) == 0
@@ -797,13 +810,14 @@ def test_latent_width_follows_latent_dtype(tmp_path, capsys):
                  "--preprocessor", str(out / "preprocessor.json"), "--input", str(data),
                  "--output", str(tmp_path / "flows.fclz")]) == 0
     printed = capsys.readouterr().out
-    assert "feature ratio 1.3125x" in printed
+    # 21 values of 8 bytes against 16 float32 latents of 4 bytes.
+    assert "feature ratio 2.625x" in printed
     # The realized ratio counts whole files, and the sections sum to the container.
     csv_bytes, fclz_bytes = data.stat().st_size, (tmp_path / "flows.fclz").stat().st_size
     assert f"container ratio {csv_bytes / fclz_bytes:.3f}x" in printed
     assert f"{csv_bytes} CSV bytes -> {fclz_bytes} container bytes" in printed
     sections = re.search(r"header (\d+), latent block (\d+), sidecar (\d+)", printed)
-    assert int(sections[2]) == 300 * 16 * 8
+    assert int(sections[2]) == 300 * 16 * 4
     assert sum(map(int, sections.groups())) == fclz_bytes
 
 
