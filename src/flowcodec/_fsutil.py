@@ -5,7 +5,7 @@ the old file or the complete new one, never a torn one; each CSV report goes
 through `write_table` on top of it. Every artifact it reads back goes through
 `read_frame` or `read_json` and then `field`, which raise ModelFormatError
 for any defect. `build` is the one way from a JSON object to a checked
-dataclass: the pipeline config and each synthetic class spec inside it.
+dataclass: the pipeline config and each block inside it.
 The binary containers (FCAE models, FCLZ latents) share one frame: a 4-byte
 magic, a little-endian u32 version and u32 header length, then a UTF-8 JSON
 header object.
@@ -121,11 +121,10 @@ def read_json(path, what: str) -> dict:
 
 
 def conforms(value, kind) -> bool:
-    """Whether the JSON ``value`` can stand for ``kind``: a type, a union,
-    ``list[T]``, ``tuple[T, ...]``, a fixed ``tuple[A, B]`` (a JSON list for
-    either tuple), ``dict[str, T]``, or a dataclass (any JSON object; `build`
-    checks its fields). bool never passes as a number; an int passes as a
-    float if float() can hold it."""
+    """Whether the JSON ``value`` can stand for ``kind``: a scalar type, a
+    union, ``list[T]``, ``tuple[T, ...]`` (a JSON list for either), or a
+    dataclass (any JSON object; `build` checks its fields). bool never
+    passes as a number; an int passes as a float if float() can hold it."""
     return _misfit(value, kind, "") is None
 
 
@@ -139,13 +138,8 @@ def _misfit(value, kind, path: str) -> tuple[str, str] | None:
         faults = [_misfit(value, k, path) for k in args]
         return None if None in faults else max(faults, key=lambda fault: len(fault[0]))
     if origin in (list, tuple) and isinstance(value, (list, tuple)):
-        if origin is list or args[-1] is Ellipsis:
-            return _first_misfit((f"{path}[{i}]", v, args[0]) for i, v in enumerate(value))
-        if len(value) == len(args):
-            return _first_misfit((f"{path}[{i}]", v, k) for i, (v, k) in enumerate(zip(value, args)))
-    elif origin is dict and isinstance(value, dict):  # JSON object keys are always strings
-        return _first_misfit((f"{path}[{k!r}]", v, args[1]) for k, v in value.items())
-    elif origin is None:
+        return _first_misfit((f"{path}[{i}]", v, args[0]) for i, v in enumerate(value))
+    if origin is None:
         expected = dict if is_dataclass(kind) else (int, float) if kind is float else kind
         if isinstance(value, expected) and (kind is bool or not isinstance(value, bool)):
             if kind is float:
@@ -199,11 +193,8 @@ def _convert(value, kind, path: str):
     if origin in (Union, UnionType):
         return _convert(value, next(k for k in args if conforms(value, k)), path)
     if origin in (list, tuple):
-        kinds = args if origin is tuple and args[-1] is not Ellipsis else args[:1] * len(value)
-        items = [_convert(v, k, f"{path}[{i}]") for i, (v, k) in enumerate(zip(value, kinds))]
+        items = [_convert(v, args[0], f"{path}[{i}]") for i, v in enumerate(value)]
         return items if origin is list else tuple(items)
-    if origin is dict:
-        return {k: _convert(v, args[1], f"{path}[{k!r}]") for k, v in value.items()}
     return value
 
 

@@ -28,7 +28,6 @@ from .flow_data import (
     DEFAULT_SIGMA,
     Dataset,
     FeatureSchema,
-    SyntheticClassSpec,
     default_class_specs,
     generate_synthetic,
     load_csv,
@@ -36,7 +35,7 @@ from .flow_data import (
     stratified_split,
     write_csv,
 )
-from .forest import DEFAULT_N_TREES, TreeParams, fit_forest, predict
+from .forest import DEFAULT_N_TREES, fit_forest, predict
 from .latent import read_latent, stored_latents, write_latent
 from .neural import TrainConfig
 
@@ -47,22 +46,20 @@ EXIT_DIVERGENCE = 3
 
 
 @dataclass(frozen=True)
-class ForestSettings(TreeParams):
-    """The trees' growth limits plus how many trees to grow."""
+class ForestSettings:
+    """How many trees to grow; `fit_tree` grows each one the same way."""
 
     n_trees: int = DEFAULT_N_TREES
 
     def __post_init__(self) -> None:
         if self.n_trees < 1:
             raise ConfigError(f"forest.n_trees must be >= 1, got {self.n_trees}")
-        super().__post_init__()
 
 
 @dataclass
 class SynthSettings:
     n_per_class: int = 2000
     sigma: float = DEFAULT_SIGMA
-    class_specs: list[SyntheticClassSpec] | None = None
 
 
 @dataclass
@@ -153,7 +150,7 @@ def _latents(model, state, features: np.ndarray) -> np.ndarray:
 
 def cmd_synth(args) -> int:
     cfg = load_config(args.config, args.seed)
-    specs = cfg.synth.class_specs if cfg.synth.class_specs is not None else default_class_specs(cfg.synth.sigma)
+    specs = default_class_specs(cfg.synth.sigma)
     n = args.n_per_class if args.n_per_class is not None else cfg.synth.n_per_class
     ds = generate_synthetic(n, specs, seed=cfg.seed, schema=cfg.schema)
     write_csv(ds, args.output)
@@ -301,7 +298,6 @@ def _classify_arms(args, cfg: PipelineConfig, arms: tuple[str, ...], task: str):
             ds.label_ids[train_rows],
             n_classes=len(ds.class_names),
             n_trees=cfg.forest.n_trees,
-            params=cfg.forest,
             seed=cfg.seed,
         )
         predicted = predict(forest, x[test_rows])

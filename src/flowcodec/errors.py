@@ -41,6 +41,6 @@ class FingerprintMismatchError(DataError):
 class DivergenceError(FlowcodecError):
     """Training produced a non-finite loss."""
 
-    def __init__(self, epoch: int, message: str | None = None):
+    def __init__(self, epoch: int):
         self.epoch = epoch
-        super().__init__(message or f"non-finite loss at epoch {epoch}")
+        super().__init__(f"non-finite loss at epoch {epoch}")

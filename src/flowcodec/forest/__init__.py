@@ -10,7 +10,6 @@ from .model import (
     DEFAULT_N_TREES,
     DecisionTree,
     ForestModel,
-    TreeParams,
     fit_forest,
     fit_tree,
     predict,
@@ -22,7 +21,6 @@ __all__ = [
     "DEFAULT_N_TREES",
     "DecisionTree",
     "ForestModel",
-    "TreeParams",
     "backend_name",
     "fit_forest",
     "fit_tree",

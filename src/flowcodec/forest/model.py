@@ -18,38 +18,6 @@ from . import splitter
 DEFAULT_N_TREES = 100
 
 
-@dataclass(frozen=True)
-class TreeParams:
-    """Growth limits shared by every tree in a forest.
-
-    max_features: "sqrt" (ceil of sqrt(n_features)), "all", or an explicit
-    count clamped to [1, n_features].
-    """
-
-    max_depth: int | None = None
-    min_samples_split: int = 2
-    max_features: str | int = "sqrt"
-
-    def __post_init__(self) -> None:
-        if self.max_depth is not None and self.max_depth < 1:
-            raise DataError(f"max_depth must be >= 1 or None, got {self.max_depth}")
-        if self.min_samples_split < 2:
-            raise DataError(f"min_samples_split must be >= 2, got {self.min_samples_split}")
-        if isinstance(self.max_features, str):
-            if self.max_features not in ("sqrt", "all"):
-                raise DataError(f"max_features must be 'sqrt', 'all' or an int, got {self.max_features!r}")
-        elif self.max_features < 1:
-            raise DataError(f"max_features must be >= 1, got {self.max_features}")
-
-    def features_per_split(self, n_features: int) -> int:
-        if self.max_features == "sqrt":
-            root = math.isqrt(n_features)
-            return root if root * root == n_features else root + 1
-        if self.max_features == "all":
-            return n_features
-        return min(int(self.max_features), n_features)
-
-
 @dataclass
 class DecisionTree:
     """Flat preorder node arrays. feature == -1 marks a leaf; left/right are
@@ -91,15 +59,16 @@ def fit_tree(
     X: np.ndarray,
     y: np.ndarray,
     n_classes: int,
-    params: TreeParams = TreeParams(),
     seed: int | np.random.SeedSequence = 0,
 ) -> DecisionTree:
-    """Grow one CART tree on (X, y) with Gini-equivalent score splits.
+    """Grow one CART tree on (X, y) with Gini-equivalent score splits, until
+    every node is pure or has no split.
 
-    Candidate features are a fresh uniform draw without replacement at every
-    node (only when the subset is proper, so "all" consumes no randomness).
-    Tie-breaks are deterministic: equal split scores keep the lowest feature
-    index and earliest boundary, equal leaf counts keep the lowest class id.
+    Each node draws k = ceil(sqrt(n_features)) candidate features uniformly
+    without replacement; with one or two features k is all of them, and no
+    draw is made. Tie-breaks are deterministic: equal split scores keep the
+    lowest feature index and earliest boundary, equal leaf counts keep the
+    lowest class id.
 
     Each node sorts only its k candidate columns: it gathers them from the
     node's rows, argsorts each, and scores them all in one `scan_sorted`
@@ -110,7 +79,8 @@ def fit_tree(
     X, y = _checked_inputs(X, y, n_classes)
     scan = splitter.scan_sorted
     n, n_features = X.shape
-    k = params.features_per_split(n_features)
+    root = math.isqrt(n_features)
+    k = root if root * root == n_features else root + 1
     rng = np.random.default_rng(seed)
     # The narrowest label type lets the scan's sort by label run as a radix sort.
     y_small = y.astype(np.min_scalar_type(n_classes - 1))
@@ -128,9 +98,9 @@ def fit_tree(
     # Explicit stack keeps preorder ids without recursion-depth limits:
     # push right before left so the left subtree is numbered first. Each
     # entry holds the row ids of its node; the entries are disjoint.
-    stack: list[tuple[np.ndarray, int, int, bool]] = [(np.arange(n), 0, -1, False)]
+    stack: list[tuple[np.ndarray, int, bool]] = [(np.arange(n), -1, False)]
     while stack:
-        rows, depth, parent, is_left = stack.pop()
+        rows, parent, is_left = stack.pop()
         m = rows.shape[0]
         node = len(feature)
         if parent >= 0:
@@ -145,10 +115,7 @@ def fit_tree(
         node_counts = np.bincount(y[rows], minlength=n_classes)
         counts.append(node_counts)
 
-        pure = int(node_counts.max()) == m
-        too_small = m < params.min_samples_split
-        too_deep = params.max_depth is not None and depth >= params.max_depth
-        if pure or too_small or too_deep:
+        if int(node_counts.max()) == m:
             continue
 
         if k < n_features:
@@ -168,8 +135,8 @@ def fit_tree(
         # The winning column is sorted, so its first n_left rows go left.
         # Copies, so that a pending child does not keep its parent's
         # [k, m] array alive.
-        stack.append((by_value[row, n_left:].copy(), depth + 1, node, False))
-        stack.append((by_value[row, :n_left].copy(), depth + 1, node, True))
+        stack.append((by_value[row, n_left:].copy(), node, False))
+        stack.append((by_value[row, :n_left].copy(), node, True))
 
     return DecisionTree(
         feature=np.asarray(feature, dtype=np.int64),
@@ -208,10 +175,10 @@ def fit_forest(
     y: np.ndarray,
     n_classes: int,
     n_trees: int = DEFAULT_N_TREES,
-    params: TreeParams = TreeParams(),
     seed: int = 0,
 ) -> ForestModel:
-    """Bagging: each tree trains on n rows drawn with replacement.
+    """Bagging: each tree is a `fit_tree` tree on n rows drawn with
+    replacement.
 
     Tree i derives its bootstrap and split randomness from
     SeedSequence([seed, i]), so any single tree can be rebuilt without
@@ -228,7 +195,7 @@ def fit_forest(
     for i in range(n_trees):
         boot_seed, tree_seed = np.random.SeedSequence([seed, i]).spawn(2)
         rows = np.random.default_rng(boot_seed).integers(0, n, size=n)
-        trees.append(fit_tree(X[rows], y[rows], n_classes, params, tree_seed))
+        trees.append(fit_tree(X[rows], y[rows], n_classes, tree_seed))
     return ForestModel(trees=trees, n_features=X.shape[1], n_classes=n_classes)
 
 

@@ -58,10 +58,9 @@ class PreprocessorState:
     @classmethod
     def load(cls, path: str | Path) -> "PreprocessorState":
         doc = read_json(path, "preprocessor state")
-        if doc.get("version") != STATE_FORMAT_VERSION:
-            raise ModelFormatError(
-                f"{path}: unsupported preprocessor version {doc.get('version')!r}"
-            )
+        version = field(doc, "version", int, path)
+        if version != STATE_FORMAT_VERSION:
+            raise ModelFormatError(f"{path}: unsupported preprocessor version {version!r}")
         names = tuple(field(doc, "feature_names", list[str], path))
         arrays = (field(doc, k, list[float], path) for k in ("p99_9", "median", "iqr"))
         p99_9, median, iqr = (np.array(a, dtype=np.float64) for a in arrays)

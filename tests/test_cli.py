@@ -12,7 +12,13 @@ import flowcodec
 from flowcodec import preprocess
 from flowcodec.cli import load_config, main
 from flowcodec.errors import ConfigError
-from flowcodec.flow_data import DEFAULT_IDENTITY_COLUMNS, default_class_specs, load_csv, stratified_split
+from flowcodec.flow_data import (
+    DEFAULT_IDENTITY_COLUMNS,
+    FeatureSchema,
+    default_class_specs,
+    load_csv,
+    stratified_split,
+)
 from flowcodec.latent import read_latent
 
 FAST_CONFIG = {
@@ -119,10 +125,6 @@ def test_load_config_rejects_bad_input(tmp_path):
         {"synth": {"sigma": None}},
         # Out-of-range values are refused at load too, not after the data loads.
         {"forest": {"n_trees": 0}},
-        {"forest": {"max_depth": 0}},
-        {"forest": {"min_samples_split": 1}},
-        {"forest": {"max_features": "log2"}},
-        {"forest": {"max_features": 0}},
         {"train": {"learning_rate": float("nan")}},
         {"train": {"adam_beta1": 1.5}},
         {"train": {"adam_epsilon": 0}},
@@ -184,12 +186,6 @@ def test_load_config_schema_file(tmp_path):
     p.write_text(json.dumps({"schema": str(schema)}))
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(str(p))
-
-
-def test_load_config_builds_class_specs(tmp_path):
-    p = tmp_path / "c.json"
-    p.write_text(json.dumps({"synth": {"class_specs": [dataclasses.asdict(s) for s in default_class_specs()]}}))
-    assert load_config(str(p)).synth.class_specs == default_class_specs()
 
 
 def test_readme_config_block_lists_every_default():
@@ -303,6 +299,8 @@ def _removed_key_argv(command, config, missing):
                      "--input", missing + ".csv", "--output", missing + ".fclz"],
         "evaluate": ["--original", missing + ".csv", "--reconstructed", missing + "_recon.csv",
                      "--output-dir", missing + "_out"],
+        "classify": ["--input", missing + ".csv", "--output-dir", missing + "_out"],
+        "synth": ["--n-per-class", "3", "--output", missing + ".csv"],
     }
     return [command, "--config", config, *inputs[command]]
 
@@ -313,7 +311,10 @@ def _removed_key_argv(command, config, missing):
 # - compress counts every original value as 8 bytes and the KL histogram
 #   always has 50 bins, so there is no `metrics` block;
 # - a container always stores float32 latents;
-# - the top-level seed (or --seed) always seeds training.
+# - the top-level seed (or --seed) always seeds training;
+# - every tree grows until each node is pure or has no split, with
+#   ceil(sqrt(d)) candidate features per node;
+# - synth always draws the built-in classes.
 @pytest.mark.parametrize("doc, key, command", [
     pytest.param({"train": {"decoupled_weight_decay": value}}, "decoupled_weight_decay", "train",
                  id=f"decoupled_weight_decay-{value}")
@@ -328,6 +329,12 @@ def _removed_key_argv(command, config, missing):
 ] + [
     pytest.param({"metrics": {"kl_bins": 50}}, "metrics", "evaluate", id="kl_bins"),
     pytest.param({"train": {"seed": 9}}, "train.seed", "train", id="train.seed"),
+    pytest.param({"forest": {"max_depth": 3}}, "max_depth", "classify", id="max_depth"),
+    pytest.param({"forest": {"min_samples_split": 2}}, "min_samples_split", "classify",
+                 id="min_samples_split"),
+    pytest.param({"forest": {"max_features": "sqrt"}}, "max_features", "classify", id="max_features"),
+    pytest.param({"synth": {"class_specs": [dataclasses.asdict(s) for s in default_class_specs()]}},
+                 "class_specs", "synth", id="class_specs"),
 ])
 def test_removed_key_exits_1(tmp_path, capsys, doc, key, command):
     p = tmp_path / "c.json"
@@ -379,27 +386,10 @@ def test_synth_zero_rows_exits_1_before_writing(tmp_path, capsys):
 
 def test_synth_bad_spec_exits_1_without_traceback(tmp_path, capsys):
     cfg, out = tmp_path / "c.json", tmp_path / "x.csv"
-    other = {"name": "b", "lognormal_params": {}}
-    specs = [dataclasses.asdict(s) for s in default_class_specs()]
-    col = next(iter(specs[0]["lognormal_params"]))
-
-    def with_pair(pair):  # specs[0] with one (mu, sigma) replaced
-        return {**specs[0], "lognormal_params": {**specs[0]["lognormal_params"], col: pair}}
-
     for synth in (
         {"sigma": -1},
         {"sigma": float("nan")},
         {"sigma": 1000},  # finite, but the draws overflow float64
-        {"class_specs": [{"name": "a", "lognormal_params": {"x": [1]}}, other]},
-        {"class_specs": [{"name": "a", "lognormal_params": [1]}, other]},
-        # Refused while the config loads, before any class is drawn.
-        {"class_specs": [{**specs[0], "name": 5}, specs[1]]},
-        {"class_specs": [with_pair(["7", "0.3"]), specs[1]]},
-        {"class_specs": [with_pair([True, 0.3]), specs[1]]},
-        {"class_specs": [with_pair([7, 0.3, 1]), specs[1]]},
-        {"class_specs": [{**specs[0], "colour": "red"}, specs[1]]},
-        # Two classes of one name would share one label.
-        {"class_specs": [specs[0], specs[1], {**specs[2], "name": specs[0]["name"]}]},
     ):
         cfg.write_text(json.dumps({"synth": synth}))
         code = main(["synth", "--config", str(cfg), "--n-per-class", "5", "--output", str(out)])
@@ -411,18 +401,17 @@ def test_synth_bad_spec_exits_1_without_traceback(tmp_path, capsys):
 def test_config_value_faults_exit_1_naming_the_element(tmp_path, capsys):
     # Each message is one short line naming the element at fault by its
     # path. A huge int in a float field ended both commands in a raw
-    # OverflowError, and a mistyped pair echoed all of its spec's pairs.
+    # OverflowError, and a mistyped list element must not echo the list.
     data, cfg = tmp_path / "flows.csv", tmp_path / "c.json"
     assert main(["synth", "--n-per-class", "3", "--output", str(data)]) == 0
-    specs = [dataclasses.asdict(s) for s in default_class_specs()]
-    specs[0]["lognormal_params"]["src2dst_bytes"] = ["7", "0.3"]
+    columns = [*FeatureSchema().compressible_columns[:20], 5]
     synth = ["synth", "--config", str(cfg), "--n-per-class", "3", "--output", str(tmp_path / "x.csv")]
     train = ["train", "--config", str(cfg), "--input", str(data), "--output-dir", str(tmp_path / "model")]
     for argv, doc, message in (
         (synth, {"synth": {"sigma": 10**400}}, "synth.sigma is too large for a float: 1000"),
         (train, {"train": {"learning_rate": 10**400}}, "train.learning_rate is too large for a float: 1000"),
-        (synth, {"synth": {"class_specs": specs}},
-         "synth.class_specs[0].lognormal_params['src2dst_bytes'][0] has the wrong type: '7'"),
+        (synth, {"schema": {"compressible_columns": columns}},
+         "schema.compressible_columns[20] has the wrong type: 5"),
     ):
         cfg.write_text(json.dumps(doc))
         code = main(argv)

@@ -6,7 +6,6 @@ from flowcodec.flow_data import default_class_specs, generate_synthetic
 from flowcodec.forest import (
     DecisionTree,
     ForestModel,
-    TreeParams,
     backend_name,
     fit_forest,
     fit_tree,
@@ -146,28 +145,6 @@ def test_scan_threshold_snaps_below_upper_neighbor():
     assert lo <= thr
 
 
-# ---------------------------------------------------------------- params
-
-
-def test_features_per_split():
-    p = TreeParams()
-    assert p.features_per_split(21) == 5
-    assert p.features_per_split(16) == 4
-    assert p.features_per_split(1) == 1
-    assert TreeParams(max_features="all").features_per_split(21) == 21
-    assert TreeParams(max_features=3).features_per_split(21) == 3
-    assert TreeParams(max_features=50).features_per_split(21) == 21
-
-
-def test_tree_params_validation():
-    with pytest.raises(DataError):
-        TreeParams(max_depth=0)
-    with pytest.raises(DataError):
-        TreeParams(min_samples_split=1)
-    with pytest.raises(DataError):
-        TreeParams(max_features="log2")
-
-
 # ---------------------------------------------------------------- single tree
 
 
@@ -189,37 +166,10 @@ def test_tree_pure_input_is_single_leaf():
     assert np.array_equal(tree.class_counts[0], [20, 0])
 
 
-def _tree_depth(tree) -> int:
-    """Edges on the longest root-to-leaf path, from the child arrays."""
-    depths = np.zeros(tree.n_nodes, dtype=np.int64)
-    for node in range(tree.n_nodes):  # preorder: a parent comes before its children
-        if tree.feature[node] >= 0:
-            depths[[tree.left[node], tree.right[node]]] = depths[node] + 1
-    return int(depths.max())
-
-
-def test_tree_max_depth_limits_growth():
-    rng = np.random.default_rng(9)
-    X = rng.normal(size=(200, 4))
-    y = rng.integers(0, 3, size=200).astype(np.int64)
-    tree = fit_tree(X, y, n_classes=3, params=TreeParams(max_depth=2), seed=0)
-    assert _tree_depth(tree) <= 2
-    deep = fit_tree(X, y, n_classes=3, seed=0)
-    assert _tree_depth(deep) > 2
-
-
-def test_tree_min_samples_split():
-    rng = np.random.default_rng(10)
-    X = rng.normal(size=(100, 3))
-    y = rng.integers(0, 2, size=100).astype(np.int64)
-    tree = fit_tree(X, y, n_classes=2, params=TreeParams(min_samples_split=200), seed=0)
-    assert tree.n_nodes == 1
-
-
 def test_tree_constant_features_become_leaf():
     X = np.ones((10, 3))
     y = np.array([0, 1] * 5, dtype=np.int64)
-    tree = fit_tree(X, y, n_classes=2, params=TreeParams(max_features="all"), seed=0)
+    tree = fit_tree(X, y, n_classes=2, seed=0)
     assert tree.n_nodes == 1
     assert tree.leaf_class[0] == 0  # tied counts resolve to the lowest id
 
@@ -300,16 +250,16 @@ def _ref_scan(values, labels, n_classes):
     return float(score[best]), float(threshold), True
 
 
-def _ref_fit_tree(X, y, n_classes, params, seed):
+def _ref_fit_tree(X, y, n_classes, seed):
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.int64)
     n_features = X.shape[1]
-    k = params.features_per_split(n_features)
+    k = int(np.ceil(np.sqrt(n_features)))
     rng = np.random.default_rng(seed)
     feature, threshold, left, right, counts = [], [], [], [], []
-    stack = [(np.arange(X.shape[0], dtype=np.int64), 0, -1, False)]
+    stack = [(np.arange(X.shape[0], dtype=np.int64), -1, False)]
     while stack:
-        rows, depth, parent, is_left = stack.pop()
+        rows, parent, is_left = stack.pop()
         node = len(feature)
         if parent >= 0:
             if is_left:
@@ -322,10 +272,7 @@ def _ref_fit_tree(X, y, n_classes, params, seed):
         right.append(-1)
         node_counts = np.bincount(y[rows], minlength=n_classes)
         counts.append(node_counts)
-        pure = int(node_counts.max()) == rows.shape[0]
-        too_small = rows.shape[0] < params.min_samples_split
-        too_deep = params.max_depth is not None and depth >= params.max_depth
-        if pure or too_small or too_deep:
+        if int(node_counts.max()) == rows.shape[0]:  # pure
             continue
         if k < n_features:
             candidates = np.sort(rng.choice(n_features, size=k, replace=False))
@@ -344,8 +291,8 @@ def _ref_fit_tree(X, y, n_classes, params, seed):
         feature[node] = best_feature
         threshold[node] = best_threshold
         go_left = X[rows, best_feature] <= best_threshold
-        stack.append((rows[~go_left], depth + 1, node, False))
-        stack.append((rows[go_left], depth + 1, node, True))
+        stack.append((rows[~go_left], node, False))
+        stack.append((rows[go_left], node, True))
     return DecisionTree(
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=np.float64),
@@ -385,23 +332,11 @@ def _reference_problems():
     yield ds.features[boot], ds.label_ids[boot], len(ds.class_names)
 
 
-@pytest.mark.parametrize(
-    "params",
-    [
-        TreeParams(),
-        TreeParams(max_features="all"),
-        TreeParams(max_features=1),
-        TreeParams(max_features=3, max_depth=3),
-        TreeParams(max_features="sqrt", min_samples_split=5),
-        TreeParams(max_features="all", max_depth=1, min_samples_split=3),
-    ],
-    ids=lambda p: f"{p.max_features}-{p.max_depth}-{p.min_samples_split}",
-)
-def test_fit_tree_matches_reference_loop_bit_for_bit(params):
+def test_fit_tree_matches_reference_loop_bit_for_bit():
     for i, (X, y, n_classes) in enumerate(_reference_problems()):
         for seed in (0, 1, 2):
-            got = fit_tree(X, y, n_classes, params, seed)
-            want = _ref_fit_tree(X, y, n_classes, params, seed)
+            got = fit_tree(X, y, n_classes, seed)
+            want = _ref_fit_tree(X, y, n_classes, seed)
             for name in ("feature", "threshold", "left", "right", "class_counts"):
                 assert np.array_equal(getattr(got, name), getattr(want, name)), (i, seed, name)
                 assert getattr(got, name).dtype == getattr(want, name).dtype

@@ -160,6 +160,9 @@ def test_state_load_rejects_bad_files(tmp_path):
         {"feature_names": "ab"},
         {"fitted_on": "50"},
         {"fitted_on": None},
+        # JSON true and 1.0 compare equal to 1 in Python, but are not the integer version.
+        {"version": True},
+        {"version": 1.0},
     ):
         p.write_text(json.dumps({**good, **change}))
         with pytest.raises(ModelFormatError):
