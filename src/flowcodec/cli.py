@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autoencoder, classify_eval, eval_metrics, preprocess
+from ._cpus import both
 from ._fsutil import atomic_write, build, write_json
 from .errors import (
     ConfigError,
@@ -248,8 +249,10 @@ def cmd_evaluate(args) -> int:
     # Only the features are read; the label column stays, so a row that
     # stops before its label cell is still refused.
     schema = replace(cfg.schema, identity_columns=())
-    original = read_features(args.original, schema)
-    recon = read_features(args.reconstructed, schema)
+    original, recon = both(
+        lambda: read_features(args.original, schema), lambda: read_features(args.reconstructed, schema)
+    )
+    original.setflags(write=False)  # as read_features returns it, also when it came through a pipe
     if len(recon) != len(original):
         raise DataError(f"row count mismatch: original {len(original)}, reconstructed {len(recon)}")
 

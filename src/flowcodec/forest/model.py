@@ -39,13 +39,13 @@ class DecisionTree:
 
 
 def _checked_inputs(X: np.ndarray, y: np.ndarray, n_classes: int) -> tuple[np.ndarray, np.ndarray]:
-    """X as contiguous float64 and y as int64, or DataError if the shapes
-    disagree, a label lies outside [0, n_classes) or X holds a non-finite
-    value."""
+    """X as contiguous float64 and y as int64, or DataError if X has no row
+    or no column, the shapes disagree, a label lies outside [0, n_classes)
+    or X holds a non-finite value."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.ascontiguousarray(y, dtype=np.int64)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise DataError("X must be a non-empty 2-D matrix")
+    if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
+        raise DataError(f"X must be a 2-D matrix with at least one row and one column, got shape {X.shape}")
     if y.shape != (X.shape[0],):
         raise DataError(f"y shape {y.shape} does not match {X.shape[0]} rows")
     if n_classes < 1 or y.min() < 0 or y.max() >= n_classes:

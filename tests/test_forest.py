@@ -216,6 +216,8 @@ def test_fit_tree_validation():
     bad[0, 0] = np.nan
     with pytest.raises(DataError):
         fit_tree(bad, np.zeros(5, dtype=np.int64), n_classes=2, seed=0)
+    with pytest.raises(DataError, match=r"got shape \(5, 0\)"):
+        fit_tree(np.zeros((5, 0)), np.array([0, 1, 0, 1, 0]), n_classes=2, seed=0)
 
 
 # ---------------------------------------------------------------- reference loop
@@ -414,6 +416,8 @@ def test_fit_forest_checks_every_row_before_bagging():
         fit_forest(X, y[:-1], n_classes=2, n_trees=1)
     with pytest.raises(DataError):
         fit_forest(X[0], y, n_classes=2, n_trees=1)
+    with pytest.raises(DataError, match=r"got shape \(50, 0\)"):
+        fit_forest(X[:, :0], y, n_classes=2, n_trees=1)
 
 
 def test_forest_majority_vote_tie_breaks_low_id():
