@@ -5,7 +5,9 @@ layers with LeakyReLU (slope 0.2) after every layer except the decoder
 output, which stays affine. Training minimizes mean Huber reconstruction
 loss with Adam, global-norm gradient clipping, plateau-driven learning rate
 halving and early stopping; the returned model is the weights snapshot from
-the best test-loss epoch.
+the best test-loss epoch. The recipe is fixed: its hyperparameters are the
+constants at the top of `neural`, and a run varies only its epoch cap and
+seed (`TrainConfig`).
 
 Precision is split as in mixed-precision training (Micikevicius et al.,
 ICLR 2018): every training step (forward with its cache, the Huber loss
@@ -45,6 +47,15 @@ import numpy as np
 from ._fsutil import atomic_write, field, frame, read_frame, write_table
 from .errors import DataError, DivergenceError, ModelFormatError
 from .neural import (
+    BATCH_SIZE,
+    CLIP_MAX_NORM,
+    EARLY_STOP_PATIENCE,
+    HUBER_DELTA,
+    IMPROVEMENT_THRESHOLD,
+    LEARNING_RATE,
+    MIN_LR,
+    PLATEAU_FACTOR,
+    PLATEAU_PATIENCE,
     DenseLayer,
     TrainConfig,
     TrainState,
@@ -224,14 +235,8 @@ def train(
     state = TrainState(init_layers(dims, slope, init_ss), np.float32)
     rng = np.random.default_rng(shuffle_ss)
 
-    scheduler = PlateauScheduler(
-        config.learning_rate,
-        config.plateau_factor,
-        config.plateau_patience,
-        config.improvement_threshold,
-        config.min_lr,
-    )
-    stopper = EarlyStopper(config.early_stop_patience, config.improvement_threshold)
+    scheduler = PlateauScheduler(LEARNING_RATE, PLATEAU_FACTOR, PLATEAU_PATIENCE, IMPROVEMENT_THRESHOLD, MIN_LR)
+    stopper = EarlyStopper(EARLY_STOP_PATIENCE, IMPROVEMENT_THRESHOLD)
 
     n = train_matrix.shape[0]
     history: list[EpochStats] = []
@@ -251,19 +256,19 @@ def train(
         perm = rng.permutation(n)
         loss_sum = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, n, config.batch_size):
-                batch = train32[perm[start : start + config.batch_size]]
+            for start in range(0, n, BATCH_SIZE):
+                batch = train32[perm[start : start + BATCH_SIZE]]
                 out, cache = forward(state.layers, activations, batch, slope, with_cache=True)
-                loss_sum += huber_loss(batch, out, config.huber_delta) * batch.shape[0]
-                grad_out = huber_loss_grad(batch, out, config.huber_delta)
+                loss_sum += huber_loss(batch, out, HUBER_DELTA) * batch.shape[0]
+                grad_out = huber_loss_grad(batch, out, HUBER_DELTA)
                 backward(state.layers, activations, cache, grad_out, slope, out=state.grads)
-                clip_global_norm(state, config.clip_max_norm)
+                clip_global_norm(state, CLIP_MAX_NORM)
                 step_count += 1
-                adam_step(state, config, step_count, learning_rate=lr)
+                adam_step(state, step_count, lr)
 
             train_loss = loss_sum / n
             weights = state.snapshot(np.float64)
-            test_loss = huber_loss(test_matrix, forward(weights, activations, test_matrix, slope), config.huber_delta)
+            test_loss = huber_loss(test_matrix, forward(weights, activations, test_matrix, slope), HUBER_DELTA)
         if not (np.isfinite(train_loss) and np.isfinite(test_loss)):
             raise DivergenceError(epoch)
         history.append(EpochStats(epoch, train_loss, test_loss, lr, time.perf_counter() - t0))
@@ -328,7 +333,9 @@ def save_model(model: AutoencoderModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> AutoencoderModel:
-    """Read a model container back; weights round-trip bit-exactly."""
+    """Read a model container back; weights round-trip bit-exactly. A file
+    whose weights hold NaN or an infinity, or whose slope lies outside
+    (0, 1), is refused here, naming it, not at its first use."""
     header, blob, payload_start = read_frame(path, "autoencoder model", MODEL_MAGIC, MODEL_FORMAT_VERSION)
     dims = field(header, "dims", list[int], path)
     n_encoder = field(header, "n_encoder_layers", int, path)
@@ -343,6 +350,8 @@ def load_model(path: str | Path) -> AutoencoderModel:
         raise ModelFormatError(
             f"{path}: dims {dims} do not match the {len(feature_names)} named features"
         )
+    if not 0.0 < slope < 1.0:
+        raise ModelFormatError(f"{path}: slope must be in (0, 1), got {slope}")
 
     expected = sum((dims[i] * dims[i + 1]) + dims[i + 1] for i in range(len(dims) - 1)) * 8
     payload = blob[payload_start:]
@@ -350,6 +359,8 @@ def load_model(path: str | Path) -> AutoencoderModel:
         raise ModelFormatError(
             f"{path}: weight payload is {len(payload)} bytes, expected {expected} (truncated or padded)"
         )
+    if not np.isfinite(np.frombuffer(payload, dtype="<f8")).all():
+        raise ModelFormatError(f"{path}: weight payload holds a non-finite value")
 
     layers: list[DenseLayer] = []
     offset = 0

@@ -3,7 +3,9 @@
 Everything here is plain numpy and deterministic: seeded initialization,
 LeakyReLU activations, mean Huber loss, global-norm gradient clipping and
 Adam with L2-coupled weight decay. A full training step is a pure function
-of (parameters, batch, step count, seed).
+of (parameters, batch, step count, seed). The training recipe's
+hyperparameters are module constants, listed together below; `TrainConfig`
+holds only what a run may vary.
 
 A training run keeps its state in a `TrainState`: the parameters, the
 gradients and both Adam moments are each one contiguous vector, every
@@ -23,14 +25,12 @@ an array (a numpy float64 scalar would, under numpy 2's promotion rules).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError
 
-_FLOAT32_TINY = float(np.finfo(np.float32).tiny)
 # Rows per block of an uncached `forward`. At the default 21 -> 128 -> 64
 # -> 16 encoder a float64 block's activations peak near 6 MB. 2048-row
 # blocks made a 5k-row decompress 6-10% slower.
@@ -106,59 +106,37 @@ class TrainState:
         return [DenseLayer(W=W, b=b) for W, b in _views(self.params.astype(dtype), self.shapes)]
 
 
+# The one training recipe. The first four values are Adam's published
+# defaults (Kingma & Ba, ICLR 2015). `adam_step` reads the betas, epsilon
+# and the weight decay; `autoencoder.train` reads the rest.
+LEARNING_RATE = 0.001  # Adam's step size until the first plateau
+ADAM_BETA1 = 0.9  # decay of the first-moment (mean) estimate
+ADAM_BETA2 = 0.999  # decay of the second-moment (uncentred variance) estimate
+ADAM_EPSILON = 1e-8  # added to the root of the second moment; a float32 step keeps it (normal)
+WEIGHT_DECAY = 1e-5  # L2 coefficient added to each weight gradient; biases are exempt
+HUBER_DELTA = 1.0  # residual at which the Huber penalty turns from quadratic to linear
+CLIP_MAX_NORM = 1.0  # global L2 norm each step's gradients are clipped to
+BATCH_SIZE = 256  # rows per step; an epoch's last batch holds the remainder
+IMPROVEMENT_THRESHOLD = 1e-6  # how far a test loss must beat the best to count as improved
+PLATEAU_PATIENCE = 5  # epochs without improvement before the rate is cut
+PLATEAU_FACTOR = 0.5  # the cut: the rate is multiplied by this
+MIN_LR = 1e-6  # the floor no cut takes the rate below
+EARLY_STOP_PATIENCE = 20  # epochs without improvement that end training
+
+
 @dataclass
 class TrainConfig:
-    learning_rate: float = 0.001
-    weight_decay: float = 1e-5
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    huber_delta: float = 1.0
-    clip_max_norm: float = 1.0
-    batch_size: int = 256
+    """What a training run may vary: its epoch cap and its seed. Every other
+    hyperparameter is one of the module constants above."""
+
     max_epochs: int = 200
-    plateau_factor: float = 0.5
-    plateau_patience: int = 5
-    early_stop_patience: int = 20
-    min_lr: float = 1e-6
-    improvement_threshold: float = 1e-6
     seed: int = 42
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise DataError(f"{name} must be finite, got {value}")
-        if self.seed < 0 or self.weight_decay < 0:
-            raise DataError("seed and weight_decay must be >= 0")
-        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
-            raise DataError("adam_beta1 and adam_beta2 must be in [0, 1)")
-        if self.learning_rate <= 0 or self.min_lr <= 0:
-            raise DataError("learning rates must be positive")
-        if self.min_lr > self.learning_rate:
-            # A plateau "halving" would raise the rate to min_lr.
-            raise DataError(
-                f"min_lr must not exceed learning_rate, got {self.min_lr} > {self.learning_rate}"
-            )
-        if self.improvement_threshold < 0:
-            # Every epoch would count as an improvement, so neither the
-            # scheduler nor early stopping would ever act.
-            raise DataError(f"improvement_threshold must be >= 0, got {self.improvement_threshold}")
-        if not 0.0 < self.plateau_factor < 1.0:
-            raise DataError("plateau_factor must be in (0, 1)")
-        for name in ("batch_size", "max_epochs", "plateau_patience", "early_stop_patience"):
-            if getattr(self, name) < 1:
-                raise DataError(f"{name} must be positive")
-        if min(self.huber_delta, self.clip_max_norm, self.adam_epsilon) <= 0:
-            raise DataError("huber_delta, clip_max_norm and adam_epsilon must be positive")
-        if self.adam_epsilon < _FLOAT32_TINY:
-            # In a float32 step it is subnormal or 0. Where a gradient's
-            # square underflows to 0, m / eps then overflows (a gradient of
-            # 1e-25 moved a weight by -1e11 at 1e-39), and below about
-            # 1.4e-45 a zero gradient gets a 0/0 update.
-            raise DataError(
-                f"adam_epsilon must be at least {_FLOAT32_TINY} (float32's smallest normal), "
-                f"got {self.adam_epsilon}"
-            )
+        if self.max_epochs < 1:
+            raise DataError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
 
 
 def leaky_relu(x: np.ndarray, slope: float, scratch: np.ndarray | None = None) -> np.ndarray:
@@ -374,17 +352,13 @@ def clip_global_norm(state: TrainState, max_norm: float) -> None:
     state.grad *= max_norm / norm
 
 
-def adam_step(
-    state: TrainState,
-    config: TrainConfig,
-    step_count: int,
-    learning_rate: float | None = None,
-) -> None:
-    """In-place Adam update with bias correction, from ``state.grad``.
+def adam_step(state: TrainState, step_count: int, learning_rate: float) -> None:
+    """In-place Adam update with bias correction, from ``state.grad``, at
+    ``learning_rate`` (a scheduler's current rate).
 
-    Weight decay couples as an L2 term added to the raw weight gradient
-    before the moment update (biases exempt). Pass learning_rate to override
-    config.learning_rate, e.g. from a scheduler.
+    Weight decay couples as an L2 term (``WEIGHT_DECAY``) added to the raw
+    weight gradient before the moment update (biases exempt); ``b1``, ``b2``
+    and ``eps`` below are ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPSILON``.
 
     Each pass runs over a whole vector, or over its weight slice for decay,
     and each element goes through one per-layer update's operations in its
@@ -396,15 +370,13 @@ def adam_step(
         raise DataError("step_count starts at 1")
     if state.grad.dtype != state.params.dtype:
         raise DataError(f"gradient is {state.grad.dtype}, but the parameters are {state.params.dtype}")
-    lr = config.learning_rate if learning_rate is None else learning_rate
-    b1, b2, eps, wd = config.adam_beta1, config.adam_beta2, config.adam_epsilon, config.weight_decay
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**step_count
     bc2 = 1.0 - b2**step_count
     p, g, m, v, t = state.params, state.grad, state.m, state.v, state._scratch
     n = state.n_weights
-    if wd != 0.0:
-        np.multiply(p[:n], wd, out=t[:n])
-        g[:n] += t[:n]
+    np.multiply(p[:n], WEIGHT_DECAY, out=t[:n])
+    g[:n] += t[:n]
     m *= b1
     np.multiply(g, 1.0 - b1, out=t)
     m += t
@@ -413,10 +385,10 @@ def adam_step(
     t *= g
     v += t
     np.divide(m, bc1, out=g)
-    g *= lr
+    g *= learning_rate
     np.divide(v, bc2, out=t)
     np.sqrt(t, out=t)
-    t += eps
+    t += ADAM_EPSILON
     g /= t
     p -= g
     for layer in state.layers:

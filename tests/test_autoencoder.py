@@ -1,8 +1,10 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from flowcodec import autoencoder, neural
 from flowcodec.autoencoder import (
     EarlyStopper,
     PlateauScheduler,
@@ -19,7 +21,7 @@ from flowcodec.neural import _BLOCK_ROWS, _SCRATCH_ROWS, TrainConfig, huber_loss
 
 
 def tiny_config(**kw):
-    defaults = dict(max_epochs=6, batch_size=16, seed=42)
+    defaults = dict(max_epochs=6, seed=42)
     defaults.update(kw)
     return TrainConfig(**defaults)
 
@@ -117,12 +119,13 @@ def test_train_snapshots_best_epoch_weights():
     assert loss_now == hist.best_test_loss
 
 
-def test_train_best_epoch_snapshot_survives_later_epochs():
-    # A rate high enough that the test loss rises again after epoch 6, so
-    # two more epochs run after the best one. Their steps and their float64
-    # copies must leave the best epoch's weights as they were.
+def test_train_best_epoch_snapshot_survives_later_epochs(monkeypatch):
+    # A rate high enough that the test loss never comes back down to its
+    # first epoch's, so seven more epochs run after the best one. Their steps
+    # and their float64 copies must leave the best epoch's weights as they were.
+    monkeypatch.setattr(autoencoder, "LEARNING_RATE", 0.1)
     xtr, xte = tiny_data(seed=4)
-    model, hist = train(xtr, xte, tiny_config(learning_rate=0.03, max_epochs=8))
+    model, hist = train(xtr, xte, tiny_config(max_epochs=8))
     assert hist.best_epoch < len(hist.epochs) == 8
     assert huber_loss(xte, reconstruct(model, xte), 1.0) == hist.best_test_loss
 
@@ -143,7 +146,7 @@ def test_train_deterministic():
 def test_train_divergence_raises_with_epoch():
     xtr, xte = tiny_data(seed=6)
     with pytest.raises(DivergenceError) as info:
-        train(xtr * 1e150, xte * 1e150, tiny_config(learning_rate=1e30))
+        train(xtr * 1e150, xte * 1e150, tiny_config())
     assert info.value.epoch >= 1
 
 
@@ -217,14 +220,12 @@ def _ref_clip(grads, max_norm):
     return [(dW * scale, db * scale) for dW, db in grads], True
 
 
-def _ref_adam(layers, state, grads, cfg, step, lr):
-    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon
+def _ref_adam(layers, state, grads, step, lr):
+    b1, b2, eps = neural.ADAM_BETA1, neural.ADAM_BETA2, neural.ADAM_EPSILON
     bc1 = 1.0 - b1**step
     bc2 = 1.0 - b2**step
     for (W, b), st, (dW, db) in zip(layers, state, grads):
-        gW = dW
-        if cfg.weight_decay != 0.0:
-            gW = dW + cfg.weight_decay * W
+        gW = dW + neural.WEIGHT_DECAY * W
         st["mW"] = b1 * st["mW"] + (1.0 - b1) * gW
         st["vW"] = b2 * st["vW"] + (1.0 - b2) * gW * gW
         st["mb"] = b1 * st["mb"] + (1.0 - b1) * db
@@ -236,7 +237,10 @@ def _ref_adam(layers, state, grads, cfg, step, lr):
 def _reference_train(xtr, xte, cfg, slope=0.2):
     """Returns the best-epoch weights, one (test_loss, learning_rate, exact
     train loss, batch losses and rows) tuple per epoch, and the number of
-    steps the clip fired on."""
+    steps the clip fired on. The recipe's constants are read where `train`
+    reads them, so a test that patches one patches both loops."""
+    ae = autoencoder
+    batch_size, delta = ae.BATCH_SIZE, ae.HUBER_DELTA
     dims = architecture_dims(xtr.shape[1])
     init_ss, shuffle_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     layers = [(l.W.astype(np.float32), l.b.astype(np.float32))
@@ -245,27 +249,27 @@ def _reference_train(xtr, xte, cfg, slope=0.2):
     state = [{k: np.zeros_like(W if k.endswith("W") else b) for k in ("mW", "vW", "mb", "vb")}
              for W, b in layers]
     rng = np.random.default_rng(shuffle_ss)
-    sched = PlateauScheduler(cfg.learning_rate, cfg.plateau_factor, cfg.plateau_patience,
-                             cfg.improvement_threshold, cfg.min_lr)
-    stopper = EarlyStopper(cfg.early_stop_patience, cfg.improvement_threshold)
+    sched = PlateauScheduler(ae.LEARNING_RATE, ae.PLATEAU_FACTOR, ae.PLATEAU_PATIENCE,
+                             ae.IMPROVEMENT_THRESHOLD, ae.MIN_LR)
+    stopper = EarlyStopper(ae.EARLY_STOP_PATIENCE, ae.IMPROVEMENT_THRESHOLD)
     epochs, best, best_loss, step, clipped = [], None, float("inf"), 0, 0
     for _ in range(cfg.max_epochs):
         lr = sched.lr
         perm = rng.permutation(xtr.shape[0])
         batches = []
-        for start in range(0, xtr.shape[0], cfg.batch_size):
-            batch = xtr[perm[start : start + cfg.batch_size]]
+        for start in range(0, xtr.shape[0], batch_size):
+            batch = xtr[perm[start : start + batch_size]]
             cache = []
             out = _ref_forward(layers, batch, slope, cache)
-            batches.append((huber_loss(batch, out, cfg.huber_delta), batch.shape[0]))
-            grads = _ref_backward(layers, cache, huber_loss_grad(batch, out, cfg.huber_delta), slope)
-            grads, fired = _ref_clip(grads, cfg.clip_max_norm)
+            batches.append((huber_loss(batch, out, delta), batch.shape[0]))
+            grads = _ref_backward(layers, cache, huber_loss_grad(batch, out, delta), slope)
+            grads, fired = _ref_clip(grads, ae.CLIP_MAX_NORM)
             clipped += fired
             step += 1
-            _ref_adam(layers, state, grads, cfg, step, lr)
-        exact_train = huber_loss(xtr, _ref_forward(layers, xtr, slope), cfg.huber_delta)
+            _ref_adam(layers, state, grads, step, lr)
+        exact_train = huber_loss(xtr, _ref_forward(layers, xtr, slope), delta)
         weights = [(W.astype(np.float64), b.astype(np.float64)) for W, b in layers]
-        test_loss = huber_loss(xte, _ref_forward(weights, xte, slope), cfg.huber_delta)
+        test_loss = huber_loss(xte, _ref_forward(weights, xte, slope), delta)
         epochs.append((test_loss, lr, exact_train, batches))
         if test_loss < best_loss:
             best_loss, best = test_loss, weights
@@ -277,22 +281,26 @@ def _reference_train(xtr, xte, cfg, slope=0.2):
 
 
 @pytest.mark.parametrize(
-    "n, batch_size, max_epochs",
+    "n, max_epochs, patches, rates",
     [
-        # 64 training rows in batches of 24, the last one short.
-        pytest.param(80, 24, 4, id="batch24"),
-        # The production batch size over 640 rows: 256, 256 and a short 128.
-        pytest.param(800, 256, 2, id="batch256"),
+        # 64 training rows in batches of 24, the last one short. A clip norm
+        # that some steps exceed and others do not; a weight decay large
+        # enough to matter; and an improvement threshold no epoch can meet,
+        # so the rate halves from the third epoch on.
+        pytest.param(80, 4, {"BATCH_SIZE": 24, "CLIP_MAX_NORM": 2.0, "WEIGHT_DECAY": 1e-2,
+                             "PLATEAU_PATIENCE": 1, "IMPROVEMENT_THRESHOLD": 1e3},
+                     [0.001, 0.001, 0.0005, 0.00025], id="batch24"),
+        # The recipe as it ships over 1200 rows: 256 four times and a short
+        # 176, with the clip firing on some steps and not on others.
+        pytest.param(1500, 2, {}, [0.001, 0.001], id="batch256"),
     ],
 )
-def test_train_matches_reference_loop_bit_for_bit(n, batch_size, max_epochs):
-    # A clip norm that some steps exceed and others do not; a weight decay
-    # large enough to matter; and an improvement threshold no epoch can
-    # meet, so the rate halves from the third epoch on.
+def test_train_matches_reference_loop_bit_for_bit(monkeypatch, n, max_epochs, patches, rates):
+    for name, value in patches.items():
+        monkeypatch.setattr(neural if name == "WEIGHT_DECAY" else autoencoder, name, value)
+    batch_size = autoencoder.BATCH_SIZE
     xtr, xte = tiny_data(n=n, seed=13)
-    cfg = tiny_config(max_epochs=max_epochs, batch_size=batch_size, clip_max_norm=2.0,
-                      weight_decay=1e-2, plateau_patience=1,
-                      improvement_threshold=1e3)
+    cfg = tiny_config(max_epochs=max_epochs)
     model, hist = train(xtr, xte, cfg)
     best, epochs, clipped = _reference_train(xtr, xte, cfg)
 
@@ -306,7 +314,7 @@ def test_train_matches_reference_loop_bit_for_bit(n, batch_size, max_epochs):
         assert got.b.tobytes() == want[1].tobytes()
     assert [e.test_loss for e in hist.epochs] == [e[0] for e in epochs]
     assert [e.learning_rate for e in hist.epochs] == [e[1] for e in epochs]
-    assert [e.learning_rate for e in hist.epochs] == [0.001, 0.001, 0.0005, 0.00025][:max_epochs]
+    assert [e.learning_rate for e in hist.epochs] == rates
     for e, (_, _, exact_train, batches) in zip(hist.epochs, epochs):
         assert [r for _, r in batches] == rows
         weighted = 0.0
@@ -442,6 +450,23 @@ def test_load_rejects_corrupt_files(tmp_path, reheader):
     ):
         bad.write_bytes(reheader(blob, mutate))
         with pytest.raises(ModelFormatError):
+            load_model(bad)
+
+    # Weights and a slope no training run writes are refused at load,
+    # naming the file. A NaN weight made compress blame its input, an
+    # infinite bias made decompress blame its output, and a slope of 1.5
+    # failed at first use without naming the file.
+    for slope in (1.5, 0.0, 1.0, -0.2):
+        bad.write_bytes(reheader(blob, lambda h: {**h, "slope": slope}))
+        with pytest.raises(ModelFormatError, match=rf"^{re.escape(str(bad))}: slope must be in \(0, 1\)"):
+            load_model(bad)
+    payload = len(blob) - sum(a * b + b for a, b in zip(model.dims, model.dims[1:])) * 8
+    first_bias = payload + model.dims[0] * model.dims[1] * 8
+    for offset, value in ((payload, np.nan), (first_bias, np.inf), (len(blob) - 8, -np.inf)):
+        raw = bytearray(blob)
+        raw[offset : offset + 8] = np.array([value], dtype="<f8").tobytes()
+        bad.write_bytes(bytes(raw))
+        with pytest.raises(ModelFormatError, match=rf"^{re.escape(str(bad))}: weight payload holds a non-finite"):
             load_model(bad)
 
     (tmp_path / "version.fcae").write_bytes(blob[:4] + b"\x09\x00\x00\x00" + blob[8:])

@@ -197,8 +197,7 @@ def test_malformed_csvs_exit_with_a_documented_code(tmp_path, capsys, trained, k
 
 @pytest.mark.parametrize("kind", ["synth", "train"])
 def test_malformed_configs_exit_with_a_documented_code(tmp_path, capsys, trained, kind):
-    # A config that train accepts may still make it diverge, as a learning
-    # rate of 1e300 does: exit 3, as documented.
+    # train may also end in divergence: exit 3, as documented.
     _, data, _ = trained
     rng, config = _rng(kind), tmp_path / "config.json"
     for _ in range(N_VARIANTS):

@@ -165,7 +165,7 @@ def _artifacts(tmp_path):
     rng = np.random.default_rng(0)
     x = rng.lognormal(size=(40, 21))
     state = fit(x)
-    model, _ = train(x[:32], x[32:], TrainConfig(max_epochs=1, batch_size=16),
+    model, _ = train(x[:32], x[32:], TrainConfig(max_epochs=1),
                      preprocessor_fingerprint=state.fingerprint(), hidden=(8,), latent=4)
     paths = {k: tmp_path / f"good.{k}" for k in ("fcae", "json", "fclz")}
     save_model(model, paths["fcae"])

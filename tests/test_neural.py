@@ -1,11 +1,14 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from flowcodec import neural
 from flowcodec.errors import DataError
 from flowcodec.neural import (
     _SCRATCH_ROWS,
+    LEARNING_RATE,
     DenseLayer,
     TrainConfig,
     TrainState,
@@ -171,7 +174,7 @@ def test_backward_rejects_stale_cache():
     x = np.random.default_rng(3).normal(size=(6, 3))
     out, cache = forward(state.layers, [True, False], x, SLOPE, with_cache=True)
     backward(state.layers, [True, False], cache, np.ones_like(out), SLOPE, out=state.grads)
-    adam_step(state, TrainConfig(), step_count=1)
+    adam_step(state, 1, LEARNING_RATE)
     with pytest.raises(DataError, match="stale"):
         backward(state.layers, [True, False], cache, np.ones_like(out), SLOPE)
 
@@ -245,7 +248,8 @@ def _batch(dtype, seed=0, rows=256):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("max_norm", [1e-3, 1e6], ids=["clipped", "unclipped"])
 @pytest.mark.parametrize("weight_decay", [1e-2, 0.0], ids=["coupled", "no-decay"])
-def test_step_kernels_keep_their_dtype(dtype, max_norm, weight_decay):
+def test_step_kernels_keep_their_dtype(monkeypatch, dtype, max_norm, weight_decay):
+    monkeypatch.setattr(neural, "WEIGHT_DECAY", weight_decay)
     state = TrainState(_layers(dtype), dtype)
     layers = state.layers
     x = _batch(dtype)
@@ -264,10 +268,9 @@ def test_step_kernels_keep_their_dtype(dtype, max_norm, weight_decay):
     assert np.array_equal(state.grad, unclipped) == (max_norm > norm)
     assert all(g.dtype == dtype for pair in state.grads for g in pair)
     clipped = state.grad.copy()
-    cfg = TrainConfig(weight_decay=weight_decay)
     for step in (1, 2):
         state.grad[...] = clipped  # adam_step uses the gradient as working space
-        adam_step(state, cfg, step_count=step, learning_rate=cfg.learning_rate / 2)
+        adam_step(state, step, LEARNING_RATE / 2)
     for layer in layers:
         for arr in (layer.W, layer.b):
             assert arr.dtype == dtype
@@ -376,13 +379,14 @@ def reference_clip(grads, max_norm):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("max_norm", [1e-3, 1e6], ids=["clipped", "unclipped"])
 @pytest.mark.parametrize("weight_decay", [1e-2, 0.0], ids=["coupled", "no-decay"])
-def test_vector_clip_and_adam_match_the_per_layer_formulas(dtype, max_norm, weight_decay):
+def test_vector_clip_and_adam_match_the_per_layer_formulas(monkeypatch, dtype, max_norm, weight_decay):
     # Three steps over the production architecture against clipping and
     # Adam applied array by array; weights, gradients and moments must
-    # agree bit for bit.
-    cfg = TrainConfig(weight_decay=weight_decay)
-    b1, b2, eps, wd = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon, cfg.weight_decay
-    lr = cfg.learning_rate / 2
+    # agree bit for bit. The decay is patched to a value large enough to
+    # matter, and to zero.
+    monkeypatch.setattr(neural, "WEIGHT_DECAY", weight_decay)
+    b1, b2, eps, wd = neural.ADAM_BETA1, neural.ADAM_BETA2, neural.ADAM_EPSILON, weight_decay
+    lr = LEARNING_RATE / 2
     state = TrainState(_layers(dtype), dtype)
     want = [(l.W.copy(), l.b.copy()) for l in state.layers]
     moments = [[np.zeros_like(a) for a in (l.W, l.W, l.b, l.b)] for l in state.layers]
@@ -394,10 +398,9 @@ def test_vector_clip_and_adam_match_the_per_layer_formulas(dtype, max_norm, weig
         clip_global_norm(state, max_norm)
         for (dW, db), (rW, rb) in zip(state.grads, ref_grads):
             assert dW.tobytes() == rW.tobytes() and db.tobytes() == rb.tobytes()
-        adam_step(state, cfg, step_count=step, learning_rate=lr)
+        adam_step(state, step, lr)
         for i, ((W, b), (gW, gb), (mW, vW, mb, vb)) in enumerate(zip(want, ref_grads, moments)):
-            if wd != 0.0:
-                gW = gW + wd * W
+            gW = gW + wd * W
             W, mW, vW = reference_adam(W, gW, mW, vW, step, lr, b1, b2, eps)
             b, mb, vb = reference_adam(b, gb, mb, vb, step, lr, b1, b2, eps)
             want[i], moments[i] = (W, b), [mW, vW, mb, vb]
@@ -422,7 +425,7 @@ def test_backward_and_adam_refuse_a_gradient_of_another_dtype():
     params = state.params.copy()
     state.grad = state.grad.astype(np.float64)
     with pytest.raises(DataError, match="float64"):
-        adam_step(state, TrainConfig(), step_count=1)
+        adam_step(state, 1, LEARNING_RATE)
     assert state.params.tobytes() == params.tobytes()
     assert not state.m.any() and not state.v.any() and state.m.dtype == np.float32
 
@@ -474,8 +477,9 @@ def reference_adam(W, g, m, v, step, lr, b1, b2, eps):
     return W - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
 
 
-def test_adam_step_matches_reference_two_steps():
-    cfg = TrainConfig(weight_decay=0.0)
+def test_adam_step_matches_reference_two_steps(monkeypatch):
+    monkeypatch.setattr(neural, "WEIGHT_DECAY", 0.0)
+    b1, b2, eps = neural.ADAM_BETA1, neural.ADAM_BETA2, neural.ADAM_EPSILON
     state = _state([([[2.0]], [1.0])])
     layer = state.layers[0]
     rng = np.random.default_rng(14)
@@ -485,26 +489,24 @@ def test_adam_step_matches_reference_two_steps():
         gW = rng.normal(size=(1, 1))
         gb = rng.normal(size=1)
         _set_grads(state, [(gW, gb)])
-        adam_step(state, cfg, step_count=step)
-        W, m, v = reference_adam(W, gW, m, v, step, cfg.learning_rate,
-                                 cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon)
-        bexp, bm, bv = reference_adam(bexp, gb, bm, bv, step, cfg.learning_rate,
-                                      cfg.adam_beta1, cfg.adam_beta2, cfg.adam_epsilon)
+        adam_step(state, step, LEARNING_RATE)
+        W, m, v = reference_adam(W, gW, m, v, step, LEARNING_RATE, b1, b2, eps)
+        bexp, bm, bv = reference_adam(bexp, gb, bm, bv, step, LEARNING_RATE, b1, b2, eps)
         assert np.allclose(layer.W, W, rtol=0, atol=1e-15)
         assert np.allclose(layer.b, bexp, rtol=0, atol=1e-15)
 
 
 def test_coupled_weight_decay_adds_l2_term_and_skips_bias():
-    cfg = TrainConfig(weight_decay=0.01)
     state = _state([([[5.0]], [5.0])])
     layer = state.layers[0]
-    adam_step(state, cfg, step_count=1)
+    adam_step(state, 1, LEARNING_RATE)
     # Zero raw gradient: the weight still moves because decay couples into
     # the gradient; the bias is exempt and must not move.
-    W, _, _ = reference_adam(np.array([[5.0]]), 0.01 * np.array([[5.0]]),
+    W, _, _ = reference_adam(np.array([[5.0]]), neural.WEIGHT_DECAY * np.array([[5.0]]),
                              np.zeros((1, 1)), np.zeros((1, 1)), 1,
-                             cfg.learning_rate, cfg.adam_beta1, cfg.adam_beta2,
-                             cfg.adam_epsilon)
+                             LEARNING_RATE, neural.ADAM_BETA1, neural.ADAM_BETA2,
+                             neural.ADAM_EPSILON)
+    assert W[0, 0] != 5.0
     assert np.allclose(layer.W, W, atol=1e-15)
     assert layer.b[0] == 5.0
 
@@ -513,11 +515,10 @@ def test_adam_learning_rate_override():
     state1 = _state([([[1.0]], [0.0])])
     state2 = _state([([[1.0]], [0.0])])
     g = [([[0.5]], [0.0])]
-    cfg = TrainConfig(weight_decay=0.0)
     _set_grads(state1, g)
     _set_grads(state2, g)
-    adam_step(state1, cfg, 1)
-    adam_step(state2, cfg, 1, learning_rate=cfg.learning_rate / 2)
+    adam_step(state1, 1, LEARNING_RATE)
+    adam_step(state2, 1, LEARNING_RATE / 2)
     d1 = 1.0 - state1.layers[0].W[0, 0]
     d2 = 1.0 - state2.layers[0].W[0, 0]
     assert d2 == pytest.approx(d1 / 2, rel=1e-12)
@@ -545,11 +546,9 @@ def test_init_layers_seeded_and_bounded():
 
 
 def test_train_config_validation():
-    with pytest.raises(DataError):
-        TrainConfig(learning_rate=0.0)
-    with pytest.raises(DataError):
-        TrainConfig(plateau_factor=1.0)
-    with pytest.raises(DataError):
-        TrainConfig(batch_size=0)
-    with pytest.raises(DataError):
-        TrainConfig(huber_delta=0.0)
+    # A run varies only its epoch cap and its seed.
+    assert [f.name for f in dataclasses.fields(TrainConfig)] == ["max_epochs", "seed"]
+    with pytest.raises(DataError, match="max_epochs must be >= 1, got 0"):
+        TrainConfig(max_epochs=0)
+    with pytest.raises(DataError, match="seed must be >= 0, got -1"):
+        TrainConfig(seed=-1)
